@@ -11,7 +11,7 @@
 use crate::atomic::AtomicPartition;
 use rannc_cost::CostModel;
 use rannc_graph::convex::ConvexChecker;
-use rannc_graph::{traverse, TaskGraph, TaskSet};
+use rannc_graph::{Membership, TaskGraph, TaskId, TaskSet};
 
 /// Limits and knobs of the block-level phase.
 #[derive(Debug, Clone, Copy)]
@@ -41,7 +41,7 @@ pub struct Block {
 pub struct BlockCtx<'g, 'p> {
     pub g: &'g TaskGraph,
     pub cost: &'p dyn CostModel,
-    pub checker: ConvexChecker<'g>,
+    pub checker: ConvexChecker,
     pub limits: BlockLimits,
 }
 
@@ -80,32 +80,10 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
     /// Two groups are adjacent when a value produced in one is consumed in
     /// the other. Constant-task clones shared by two groups may mark them
     /// adjacent; that is harmless (a merge of such groups is still legal).
+    /// Lists keep first-encounter order, which breaks ties between equally
+    /// good merges and moves (see [`ConvexChecker::group_adjacency`]).
     pub fn adjacency(&self, groups: &[TaskSet]) -> Vec<Vec<u32>> {
-        let n = self.g.num_tasks();
-        let mut membership: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (gi, set) in groups.iter().enumerate() {
-            for t in set.iter() {
-                membership[t.index()].push(gi as u32);
-            }
-        }
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
-        for t in self.g.task_ids() {
-            for s in self.g.task_successors(t) {
-                for &a in &membership[t.index()] {
-                    for &b in &membership[s.index()] {
-                        if a != b {
-                            if !adj[a as usize].contains(&b) {
-                                adj[a as usize].push(b);
-                            }
-                            if !adj[b as usize].contains(&a) {
-                                adj[b as usize].push(a);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        adj
+        self.checker.group_adjacency(groups)
     }
 }
 
@@ -145,7 +123,7 @@ pub fn block_partition(
             Block { set, time, mem }
         })
         .collect();
-    sort_topologically(g, &mut blocks);
+    sort_topologically(&ctx.checker, &mut blocks);
     blocks
 }
 
@@ -156,25 +134,18 @@ pub fn block_partition(
 /// two blocks would create spurious edges, so an edge is only recorded
 /// when the consumer's block does not itself contain the producing task.
 /// Ties are broken by minimum task topo position for determinism.
-pub(crate) fn sort_topologically(g: &TaskGraph, blocks: &mut [Block]) {
-    let n_tasks = g.num_tasks();
+pub(crate) fn sort_topologically(ck: &ConvexChecker, blocks: &mut [Block]) {
     let nb = blocks.len();
-    let pos = traverse::topo_positions(g);
-
-    // membership lists (clones may appear in several blocks)
-    let mut member: Vec<Vec<u32>> = vec![Vec::new(); n_tasks];
-    for (bi, b) in blocks.iter().enumerate() {
-        for t in b.set.iter() {
-            member[t.index()].push(bi as u32);
-        }
-    }
+    let n_tasks = ck.num_tasks();
+    // clones may appear in several blocks
+    let member = Membership::new(n_tasks, blocks.iter().map(|b| &b.set));
     // block-level edges
     let mut succs: Vec<Vec<u32>> = vec![Vec::new(); nb];
     let mut indeg = vec![0u32; nb];
-    for t in g.task_ids() {
-        for s in g.task_successors(t) {
-            for &a in &member[t.index()] {
-                for &b in &member[s.index()] {
+    for t in (0..n_tasks as u32).map(TaskId) {
+        for &s in ck.successors(t) {
+            for &a in member.of(t) {
+                for &b in member.of(s) {
                     if a != b
                         && !blocks[b as usize].set.contains(t)
                         && !succs[a as usize].contains(&b)
@@ -189,13 +160,7 @@ pub(crate) fn sort_topologically(g: &TaskGraph, blocks: &mut [Block]) {
     // Kahn with a min-position tie-break for a stable, sensible order
     let min_pos: Vec<u32> = blocks
         .iter()
-        .map(|b| {
-            b.set
-                .iter()
-                .map(|t| pos[t.index()])
-                .min()
-                .unwrap_or(u32::MAX)
-        })
+        .map(|b| b.set.iter().map(|t| ck.pos(t)).min().unwrap_or(u32::MAX))
         .collect();
     let mut ready: Vec<usize> = (0..nb).filter(|&i| indeg[i] == 0).collect();
     let mut order = Vec::with_capacity(nb);
@@ -302,11 +267,13 @@ mod tests {
                 }
             }
         }
-        for t in g.task_ids() {
-            for s in g.task_successors(t) {
-                let (a, b) = (owner[t.index()], owner[s.index()]);
-                if a != usize::MAX && b != usize::MAX {
-                    assert!(a <= b, "edge {t}->{s} goes backward across blocks");
+        for (t, task) in g.tasks() {
+            for &v in &task.outputs {
+                for &s in &g.value(v).consumers {
+                    let (a, b) = (owner[t.index()], owner[s.index()]);
+                    if a != usize::MAX && b != usize::MAX {
+                        assert!(a <= b, "edge {t}->{s} goes backward across blocks");
+                    }
                 }
             }
         }

@@ -10,17 +10,15 @@
 //! on graphs with parallel branches.
 
 use crate::blocks::BlockCtx;
-use rannc_graph::{traverse, TaskSet};
+use rannc_graph::TaskSet;
 
 /// Run compaction until `k` groups remain (or no further merge is
 /// possible, in which case slightly more than `k` groups are returned).
 pub fn compact(ctx: &mut BlockCtx<'_, '_>, groups: Vec<TaskSet>) -> Vec<TaskSet> {
     let k = ctx.limits.k;
-    let pos = traverse::topo_positions(ctx.g);
-    let min_pos = |s: &TaskSet| s.iter().map(|t| pos[t.index()]).min().unwrap_or(u32::MAX);
-
     let mut list: Vec<TaskSet> = groups;
-    list.sort_by_key(|s| min_pos(s));
+    let ck = &ctx.checker;
+    list.sort_by_key(|s| s.iter().map(|t| ck.pos(t)).min().unwrap_or(u32::MAX));
 
     while list.len() > k {
         let times: Vec<f64> = crate::par::parallel_map(&list, |s| ctx.time(s));

@@ -20,6 +20,15 @@
 //! and the move is applied when `Δ < 0`. Moves of whole subtree nodes keep
 //! every deeper merge pair inside a single group, which is the paper's
 //! "propagated to `G_{L'}`" bookkeeping in our flattened representation.
+//!
+//! Legality is tested local to the move as well. Almost every candidate
+//! fails convexity on the source side, and for a convex source `A` a path
+//! that breaks convexity of `A∖p` never leaves `A`
+//! ([`ConvexChecker::is_convex_without`]), so that test walks the piece,
+//! not the group. Only the few candidates that pass both convexity tests
+//! build `A∖p` and pay for the memory check and the cut sums.
+//!
+//! [`ConvexChecker::is_convex_without`]: rannc_graph::convex::ConvexChecker::is_convex_without
 
 use crate::blocks::BlockCtx;
 use crate::coarsen::MergeRecord;
@@ -36,7 +45,15 @@ pub fn uncoarsen(
     let mut moves = 0;
     // Group adjacency changes only when a move is applied, so cache it
     // across the (many) merge records instead of rebuilding per record.
+    // Its list order is the candidate order, which decides between moves
+    // of equal Δ.
     let mut adj = ctx.adjacency(groups);
+    // The local source-side test needs a convex source. Merged groups are
+    // convex by construction, but an unmerged atomic subcomponent need not
+    // be (its cloned constant tasks may also feed another subcomponent on
+    // a path into it), so each group is proved once here; an applied move
+    // leaves both of its groups convex.
+    let mut convex: Vec<bool> = groups.iter().map(|s| ctx.checker.is_convex(s)).collect();
     // coarsest first: iterate the records in reverse application order
     for m in merges.iter().rev() {
         let union = m.v.union(&m.w);
@@ -48,7 +65,7 @@ pub fn uncoarsen(
         for &b in &adj[a_idx] {
             let b_idx = b as usize;
             for (move_v, piece) in [(true, &m.v), (false, &m.w)] {
-                if let Some(delta) = eval_move(ctx, groups, a_idx, b_idx, piece) {
+                if let Some(delta) = eval_move(ctx, groups, a_idx, convex[a_idx], b_idx, piece) {
                     if delta < 0.0 && best.as_ref().map(|(_, _, bd)| delta < *bd).unwrap_or(true) {
                         best = Some((b_idx, move_v, delta));
                     }
@@ -59,6 +76,8 @@ pub fn uncoarsen(
             let piece = if move_v { &m.v } else { &m.w };
             groups[a_idx].difference_with(piece);
             groups[b_idx].union_with(piece);
+            convex[a_idx] = true;
+            convex[b_idx] = true;
             moves += 1;
             adj = ctx.adjacency(groups);
         }
@@ -70,35 +89,49 @@ pub fn uncoarsen(
 ///
 /// Returns the communication-byte delta if the move is structurally legal
 /// (piece strictly inside `a`, both results convex, target fits memory),
-/// `None` otherwise.
+/// `None` otherwise. `a_convex` says whether `groups[a]` is convex.
+///
+/// The tests run cheapest and most selective first: `piece ⊆ A`, a
+/// non-empty rest `A ⊄ piece`, convexity of `A∖p` (local to the piece when
+/// `A` is convex), convexity of `B∪p`, then the memory fit. The conjunction
+/// is the full-group one, and `fits` runs only when both convexity tests
+/// pass, so the cost model sees exactly the same queries.
 fn eval_move(
     ctx: &mut BlockCtx<'_, '_>,
     groups: &[TaskSet],
     a: usize,
+    a_convex: bool,
     b: usize,
     piece: &TaskSet,
 ) -> Option<f64> {
-    if !piece.is_subset(&groups[a]) {
+    let src = &groups[a];
+    if !piece.is_subset(src) || src.is_subset(piece) {
         return None;
     }
-    let mut a_rest = groups[a].clone();
-    a_rest.difference_with(piece);
-    if a_rest.is_empty() {
+    let rest = || {
+        let mut r = src.clone();
+        r.difference_with(piece);
+        r
+    };
+    let rest_convex = if a_convex {
+        ctx.checker.is_convex_without(src, piece)
+    } else {
+        ctx.checker.is_convex(&rest())
+    };
+    if !rest_convex {
         return None;
     }
     let b_new = groups[b].union(piece);
-    if !ctx.checker.is_convex(&a_rest) || !ctx.checker.is_convex(&b_new) {
-        return None;
-    }
-    if !ctx.fits(&b_new) {
+    if !ctx.checker.is_convex(&b_new) || !ctx.fits(&b_new) {
         return None;
     }
     // Exact local delta: edges between the moved piece and third groups
     // keep crossing exactly one boundary before and after, so only the
     // (A, B) pair's cut changes.
+    let a_rest = rest();
     let g = ctx.g;
-    let before = (traverse::cut_bytes(g, &groups[a], &groups[b])
-        + traverse::cut_bytes(g, &groups[b], &groups[a])) as f64;
+    let before =
+        (traverse::cut_bytes(g, src, &groups[b]) + traverse::cut_bytes(g, &groups[b], src)) as f64;
     let after =
         (traverse::cut_bytes(g, &a_rest, &b_new) + traverse::cut_bytes(g, &b_new, &a_rest)) as f64;
     Some(after - before) // negative = fewer bytes cross cuts

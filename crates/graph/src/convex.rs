@@ -13,38 +13,131 @@
 //! layer-local sets produced during coarsening this makes each check touch
 //! only a few dozen tasks instead of the whole graph.
 
-use crate::{TaskGraph, TaskId, TaskSet};
+use crate::{Membership, TaskGraph, TaskId, TaskSet};
+
+/// Compressed per-task neighbour lists: row `t` is
+/// `adj[off[t]..off[t + 1]]`.
+struct Csr {
+    off: Vec<u32>,
+    adj: Vec<TaskId>,
+}
+
+impl Csr {
+    #[inline]
+    fn row(&self, t: TaskId) -> &[TaskId] {
+        &self.adj[self.off[t.index()] as usize..self.off[t.index() + 1] as usize]
+    }
+
+    /// Successor table: row `t` is [`TaskGraph::task_successors`]`(t)`,
+    /// built with one reused scratch buffer instead of one `Vec` per task.
+    fn successors(g: &TaskGraph) -> Csr {
+        let mut off = Vec::with_capacity(g.num_tasks() + 1);
+        let mut adj = Vec::new();
+        let mut row = Vec::new();
+        off.push(0);
+        for (_, task) in g.tasks() {
+            row.clear();
+            for &v in &task.outputs {
+                row.extend_from_slice(&g.value(v).consumers);
+            }
+            row.sort_unstable();
+            row.dedup();
+            adj.extend_from_slice(&row);
+            off.push(adj.len() as u32);
+        }
+        Csr { off, adj }
+    }
+
+    /// The transposed table. Rows come out sorted and distinct because
+    /// `self`'s rows are distinct and are scanned in ascending task order:
+    /// for a successor table this is [`TaskGraph::task_predecessors`].
+    fn transpose(&self) -> Csr {
+        let n = self.off.len() - 1;
+        let mut off = vec![0u32; n + 1];
+        for s in &self.adj {
+            off[s.index() + 1] += 1;
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        let mut next = off.clone();
+        let mut adj = vec![TaskId(0); self.adj.len()];
+        for t in (0..n as u32).map(TaskId) {
+            for s in self.row(t) {
+                adj[next[s.index()] as usize] = t;
+                next[s.index()] += 1;
+            }
+        }
+        Csr { off, adj }
+    }
+}
 
 /// Reusable convexity checker for one graph.
 ///
-/// Holds the topological positions and a stamped visited buffer so repeated
-/// checks (the coarsening phase performs tens of thousands) allocate
-/// nothing.
-pub struct ConvexChecker<'g> {
-    g: &'g TaskGraph,
+/// Holds the topological positions, CSR successor and predecessor tables
+/// and a stamped visited buffer, so repeated checks (the block phase
+/// performs tens of thousands) allocate nothing. The block phase also
+/// reads its tables for group adjacency and block order.
+pub struct ConvexChecker {
     pos: Vec<u32>,
+    succ: Csr,
+    pred: Csr,
     visited: Vec<u32>,
     stamp: u32,
     stack: Vec<TaskId>,
 }
 
-impl<'g> ConvexChecker<'g> {
-    /// Build a checker for `g` (computes a topological order once).
-    pub fn new(g: &'g TaskGraph) -> Self {
-        let pos = crate::traverse::topo_positions(g);
+impl ConvexChecker {
+    /// Build a checker for `g`: its neighbour tables and a topological
+    /// order, once.
+    pub fn new(g: &TaskGraph) -> Self {
+        let succ = Csr::successors(g);
+        let pred = succ.transpose();
+        let pos = topo_positions(&succ, &pred);
         ConvexChecker {
-            g,
             pos,
+            succ,
+            pred,
             visited: vec![0; g.num_tasks()],
             stamp: 0,
             stack: Vec::new(),
         }
     }
 
+    /// Number of tasks of the graph.
+    #[inline]
+    pub fn num_tasks(&self) -> usize {
+        self.pos.len()
+    }
+
     /// Topological position of a task.
     #[inline]
     pub fn pos(&self, t: TaskId) -> u32 {
         self.pos[t.index()]
+    }
+
+    /// Distinct successors of `t` in ascending id order, as
+    /// [`TaskGraph::task_successors`] returns them.
+    #[inline]
+    pub fn successors(&self, t: TaskId) -> &[TaskId] {
+        self.succ.row(t)
+    }
+
+    /// Distinct predecessors of `t` in ascending id order, as
+    /// [`TaskGraph::task_predecessors`] returns them.
+    #[inline]
+    pub fn predecessors(&self, t: TaskId) -> &[TaskId] {
+        self.pred.row(t)
+    }
+
+    /// A fresh visited stamp (clearing the buffer when the counter wraps).
+    fn next_stamp(&mut self) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.visited.iter_mut().for_each(|v| *v = 0);
+            self.stamp = 1;
+        }
+        self.stamp
     }
 
     /// Whether `s` is convex in the graph.
@@ -60,17 +153,11 @@ impl<'g> ConvexChecker<'g> {
         if count <= 1 {
             return true;
         }
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            // stamp wrapped: reset buffer
-            self.visited.iter_mut().for_each(|v| *v = 0);
-            self.stamp = 1;
-        }
-        let stamp = self.stamp;
+        let stamp = self.next_stamp();
         self.stack.clear();
         // Seed with successors outside S, pruned to the topo window.
         for t in s.iter() {
-            for succ in self.g.task_successors(t) {
+            for &succ in self.succ.row(t) {
                 let i = succ.index();
                 if !s.contains(succ) && self.pos[i] < max_pos && self.visited[i] != stamp {
                     self.visited[i] = stamp;
@@ -80,7 +167,7 @@ impl<'g> ConvexChecker<'g> {
         }
         // Forward search; re-entering S means a violating path exists.
         while let Some(t) = self.stack.pop() {
-            for succ in self.g.task_successors(t) {
+            for &succ in self.succ.row(t) {
                 if s.contains(succ) {
                     return false;
                 }
@@ -93,6 +180,105 @@ impl<'g> ConvexChecker<'g> {
         }
         true
     }
+
+    /// Whether `a ∖ p` is convex, for a convex `a` and `p ⊆ a`.
+    ///
+    /// Locality: a path between two tasks of `a ∖ p` runs between two
+    /// tasks of the convex `a`, so every task on it lies in `a`; the ones
+    /// outside `a ∖ p` lie in `p`. A violating path therefore leaves
+    /// `a ∖ p` into `p`, walks inside `p` and re-enters `a ∖ p`. The search
+    /// seeds from the tasks of `p` with a predecessor in `a ∖ p` and walks
+    /// forward inside `p` only, so it costs O(|p| + edges of p) however
+    /// large `a` is. Equals `is_convex(a ∖ p)` under the precondition; the
+    /// answer is unspecified when `a` is not convex.
+    pub fn is_convex_without(&mut self, a: &TaskSet, p: &TaskSet) -> bool {
+        let in_rest = |t: TaskId| a.contains(t) && !p.contains(t);
+        let stamp = self.next_stamp();
+        self.stack.clear();
+        for t in p.iter() {
+            if self.pred.row(t).iter().any(|&q| in_rest(q)) {
+                self.visited[t.index()] = stamp;
+                self.stack.push(t);
+            }
+        }
+        while let Some(t) = self.stack.pop() {
+            for &succ in self.succ.row(t) {
+                if p.contains(succ) {
+                    if self.visited[succ.index()] != stamp {
+                        self.visited[succ.index()] = stamp;
+                        self.stack.push(succ);
+                    }
+                } else if a.contains(succ) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Group-level adjacency lists of `groups`: two groups are adjacent
+    /// when a task of one has a successor in the other. Sets may overlap
+    /// (constant-task clones); a task shared by two groups may mark them
+    /// adjacent.
+    ///
+    /// Each list holds its neighbours in first-encounter order — tasks in
+    /// ascending id, each task's successors in ascending id, groups in
+    /// index order — which callers rely on to break ties deterministically.
+    pub fn group_adjacency(&self, groups: &[TaskSet]) -> Vec<Vec<u32>> {
+        let member = Membership::new(self.num_tasks(), groups);
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
+        for t in (0..self.num_tasks() as u32).map(TaskId) {
+            let from = member.of(t);
+            if from.is_empty() {
+                continue;
+            }
+            for &s in self.succ.row(t) {
+                for &a in from {
+                    for &b in member.of(s) {
+                        if a != b {
+                            if !adj[a as usize].contains(&b) {
+                                adj[a as usize].push(b);
+                            }
+                            if !adj[b as usize].contains(&a) {
+                                adj[b as usize].push(a);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        adj
+    }
+}
+
+/// Topological positions by Kahn's algorithm over the neighbour tables,
+/// with the queue discipline of [`crate::traverse::topo_order`], so the
+/// positions equal [`crate::traverse::topo_positions`]. Panics if the
+/// graph is cyclic.
+fn topo_positions(succ: &Csr, pred: &Csr) -> Vec<u32> {
+    let n = succ.off.len() - 1;
+    let mut indegree: Vec<u32> = pred.off.windows(2).map(|w| w[1] - w[0]).collect();
+    let mut queue: Vec<TaskId> = (0..n as u32)
+        .map(TaskId)
+        .filter(|t| indegree[t.index()] == 0)
+        .collect();
+    let mut head = 0;
+    while head < queue.len() {
+        let t = queue[head];
+        head += 1;
+        for &s in succ.row(t) {
+            indegree[s.index()] -= 1;
+            if indegree[s.index()] == 0 {
+                queue.push(s);
+            }
+        }
+    }
+    assert_eq!(queue.len(), n, "graph has a cycle");
+    let mut pos = vec![0u32; n];
+    for (rank, t) in queue.iter().enumerate() {
+        pos[t.index()] = rank as u32;
+    }
+    pos
 }
 
 /// One-shot convexity check (builds a [`ConvexChecker`] internally).

@@ -37,7 +37,7 @@ pub use builder::GraphBuilder;
 pub use graph::{Task, TaskGraph, Value};
 pub use op::OpKind;
 pub use shape::{DType, Shape};
-pub use taskset::TaskSet;
+pub use taskset::{Membership, TaskSet};
 
 use serde::{Deserialize, Serialize};
 

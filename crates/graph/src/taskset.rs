@@ -175,6 +175,49 @@ impl FromIterator<TaskId> for TaskSet {
     }
 }
 
+/// Which of a list of sets each task belongs to, as one flat prefix-sum
+/// table: two allocations however many tasks and sets there are. Sets may
+/// overlap (constant-task clones), so a task can belong to several.
+pub struct Membership {
+    off: Vec<u32>,
+    sets: Vec<u32>,
+}
+
+impl Membership {
+    /// Index `sets` (all over `universe`).
+    pub fn new<'a, I>(universe: usize, sets: I) -> Self
+    where
+        I: IntoIterator<Item = &'a TaskSet>,
+        I::IntoIter: Clone,
+    {
+        let sets = sets.into_iter();
+        let mut off = vec![0u32; universe + 1];
+        for s in sets.clone() {
+            for t in s.iter() {
+                off[t.index() + 1] += 1;
+            }
+        }
+        for i in 0..universe {
+            off[i + 1] += off[i];
+        }
+        let mut next = off.clone();
+        let mut ids = vec![0u32; off[universe] as usize];
+        for (si, s) in sets.enumerate() {
+            for t in s.iter() {
+                ids[next[t.index()] as usize] = si as u32;
+                next[t.index()] += 1;
+            }
+        }
+        Membership { off, sets: ids }
+    }
+
+    /// Indices of the sets containing `t`, ascending.
+    #[inline]
+    pub fn of(&self, t: TaskId) -> &[u32] {
+        &self.sets[self.off[t.index()] as usize..self.off[t.index() + 1] as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +272,21 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), ids(&[3, 70, 250]));
         assert_eq!(s.first(), Some(TaskId(3)));
         assert_eq!(TaskSet::new(10).first(), None);
+    }
+
+    #[test]
+    fn membership_lists_every_owner_in_set_order() {
+        let sets = [
+            TaskSet::from_ids(5, ids(&[0, 2])),
+            TaskSet::from_ids(5, ids(&[2, 3])),
+            TaskSet::from_ids(5, ids(&[2])),
+        ];
+        let m = Membership::new(5, &sets);
+        assert_eq!(m.of(TaskId(0)), &[0]);
+        assert_eq!(m.of(TaskId(1)), &[] as &[u32]);
+        assert_eq!(m.of(TaskId(2)), &[0, 1, 2]);
+        assert_eq!(m.of(TaskId(3)), &[1]);
+        assert_eq!(m.of(TaskId(4)), &[] as &[u32]);
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! Strategy: generate random layered DAGs (tasks only talk to strictly
 //! earlier values), then check structural properties that the partitioning
 //! phases rely on: topological validity, convexity closure under
-//! consecutive-interval selection, cut symmetry and reachability sanity.
+//! consecutive-interval selection, cut symmetry and reachability sanity,
+//! and that the convexity checker's neighbour tables, piece-local
+//! convexity test and group adjacency agree with the graph's own
+//! (allocating) adjacency queries.
 
 use proptest::prelude::*;
 use rannc_graph::convex::ConvexChecker;
@@ -48,6 +51,59 @@ fn build(spec: &DagSpec) -> TaskGraph {
     }
     g.mark_output(*avail.last().unwrap());
     g
+}
+
+/// Pseudorandom subset of `0..n`: task `i` is in when bit `i % 64` of
+/// `sel` is set, or when `i % 3` matches `sel`'s residue.
+fn pick(n: usize, sel: u64) -> TaskSet {
+    TaskSet::from_ids(
+        n,
+        (0..n as u32)
+            .filter(|i| (sel >> (i % 64)) & 1 == 1 || *i as usize % 3 == (sel as usize) % 3)
+            .map(TaskId),
+    )
+}
+
+/// Convex hull of `s`: every task on a path between two of its members
+/// (reachable from `s` and reaching `s`).
+fn hull(g: &TaskGraph, s: &TaskSet) -> TaskSet {
+    let down = traverse::reachable_from(g, s);
+    let up = traverse::reaching(g, s);
+    TaskSet::from_ids(
+        g.num_tasks(),
+        g.task_ids().filter(|&t| down.contains(t) && up.contains(t)),
+    )
+}
+
+/// Reference group adjacency: the block phase's original implementation,
+/// with one membership `Vec` per task and an allocating successor query
+/// per task. `ConvexChecker::group_adjacency` must reproduce it exactly,
+/// list order included.
+fn reference_adjacency(g: &TaskGraph, groups: &[TaskSet]) -> Vec<Vec<u32>> {
+    let mut membership: Vec<Vec<u32>> = vec![Vec::new(); g.num_tasks()];
+    for (gi, set) in groups.iter().enumerate() {
+        for t in set.iter() {
+            membership[t.index()].push(gi as u32);
+        }
+    }
+    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
+    for t in g.task_ids() {
+        for s in g.task_successors(t) {
+            for &a in &membership[t.index()] {
+                for &b in &membership[s.index()] {
+                    if a != b {
+                        if !adj[a as usize].contains(&b) {
+                            adj[a as usize].push(b);
+                        }
+                        if !adj[b as usize].contains(&a) {
+                            adj[b as usize].push(a);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    adj
 }
 
 proptest! {
@@ -138,5 +194,77 @@ proptest! {
         );
         let r = traverse::reachable_from(&g, &sources);
         prop_assert_eq!(r.len(), n);
+    }
+}
+
+// The block phase's exactness rests on these three: more cases than the
+// default, on graphs small enough that each case costs microseconds.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The checker's CSR rows are exactly the graph's successor and
+    /// predecessor lists, and its positions the graph's topological ones.
+    #[test]
+    fn csr_tables_match_graph_queries(spec in dag_spec()) {
+        let g = build(&spec);
+        let ck = ConvexChecker::new(&g);
+        let pos = traverse::topo_positions(&g);
+        prop_assert_eq!(ck.num_tasks(), g.num_tasks());
+        for t in g.task_ids() {
+            prop_assert_eq!(ck.successors(t), &g.task_successors(t)[..]);
+            prop_assert_eq!(ck.predecessors(t), &g.task_predecessors(t)[..]);
+            prop_assert_eq!(ck.pos(t), pos[t.index()]);
+        }
+    }
+
+    /// Piece-local convexity equals whole-set convexity of the rest, for a
+    /// convex `a` and any `p ⊆ a` (empty, partial or all of `a`).
+    #[test]
+    fn convex_without_matches_whole_rest(
+        spec in dag_spec(),
+        seed_sel in any::<u64>(),
+        piece_sel in any::<u64>(),
+    ) {
+        let g = build(&spec);
+        let n = g.num_tasks();
+        let mut ck = ConvexChecker::new(&g);
+        let a = hull(&g, &pick(n, seed_sel));
+        prop_assert!(ck.is_convex(&a));
+        let picked = pick(n, piece_sel);
+        let pieces = [
+            TaskSet::from_ids(n, a.iter().filter(|&t| picked.contains(t))),
+            TaskSet::from_ids(n, a.iter().filter(|&t| !picked.contains(t))),
+            TaskSet::new(n),
+            a.clone(),
+        ];
+        for p in &pieces {
+            let mut rest = a.clone();
+            rest.difference_with(p);
+            prop_assert_eq!(ck.is_convex_without(&a, p), ck.is_convex(&rest));
+        }
+    }
+
+    /// Group adjacency from the CSR table and the flat membership equals
+    /// the reference, list order included, on random groupings where some
+    /// tasks sit in two groups (like the atomic pass's constant clones).
+    #[test]
+    fn group_adjacency_matches_reference(
+        spec in dag_spec(),
+        n_groups in 1usize..12,
+        assign in any::<u64>(),
+        share in any::<u64>(),
+    ) {
+        let g = build(&spec);
+        let n = g.num_tasks();
+        let mut groups = vec![TaskSet::new(n); n_groups];
+        for t in g.task_ids() {
+            let mix = assign.rotate_left(t.0 % 64) ^ (t.0 as u64).wrapping_mul(0x9e37_79b9);
+            groups[mix as usize % n_groups].insert(t);
+            if (share >> (t.0 % 64)) & 1 == 1 {
+                groups[(mix >> 8) as usize % n_groups].insert(t);
+            }
+        }
+        let ck = ConvexChecker::new(&g);
+        prop_assert_eq!(ck.group_adjacency(&groups), reference_adjacency(&g, &groups));
     }
 }

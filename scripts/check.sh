@@ -6,6 +6,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
+echo "==> block-phase golden (merges, moves and blocks pinned per model)"
+# run on its own first, so a change that alters any block is reported as
+# block-phase drift rather than as a downstream plan difference
+cargo test -q --offline --test block_golden \
+    || { echo "FAILED: block phase drifted from tests/block_golden.rs"; exit 1; }
+
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
@@ -30,6 +36,18 @@ fi
 if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     | grep -v '^crates/cost/' | grep -v '^crates/baselines/src/megatron.rs'; then
     echo "FAILED: megatron_partition called outside rannc-cost / the Megatron baseline"
+    exit 1
+fi
+
+echo "==> block-phase adjacency gate (CSR neighbour tables only)"
+# the block phase reads neighbours from ConvexChecker's CSR tables; the
+# allocating per-task graph queries (a fresh sorted Vec per call) must
+# not come back into its hot loops
+if grep -n "task_successors(\|task_predecessors(" \
+    crates/core/src/coarsen.rs crates/core/src/uncoarsen.rs \
+    crates/core/src/compact.rs crates/core/src/blocks.rs \
+    crates/graph/src/convex.rs; then
+    echo "FAILED: allocating successor/predecessor query on the block path"
     exit 1
 fi
 
