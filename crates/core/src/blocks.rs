@@ -74,17 +74,6 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
     pub fn fits(&self, set: &TaskSet) -> bool {
         self.mem(set) <= self.limits.mem_limit
     }
-
-    /// Group-level adjacency lists for the current `groups`.
-    ///
-    /// Two groups are adjacent when a value produced in one is consumed in
-    /// the other. Constant-task clones shared by two groups may mark them
-    /// adjacent; that is harmless (a merge of such groups is still legal).
-    /// Lists keep first-encounter order, which breaks ties between equally
-    /// good merges and moves (see [`ConvexChecker::group_adjacency`]).
-    pub fn adjacency(&self, groups: &[TaskSet]) -> Vec<Vec<u32>> {
-        self.checker.group_adjacency(groups)
-    }
 }
 
 /// Run the full block-level phase: coarsen, uncoarsen, compact.

@@ -45,7 +45,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
     let mut level = 0usize;
 
     while groups.len() > k {
-        let adj = ctx.adjacency(&groups);
+        let adj = ctx.checker.group_adjacency(&groups);
         // profiling each group is independent; fan out across cores
         let times: Vec<f64> = crate::par::parallel_map(&groups, |s| ctx.time(s));
 

@@ -47,7 +47,7 @@ pub fn uncoarsen(
     // across the (many) merge records instead of rebuilding per record.
     // Its list order is the candidate order, which decides between moves
     // of equal Δ.
-    let mut adj = ctx.adjacency(groups);
+    let mut adj = ctx.checker.group_adjacency(groups);
     // The local source-side test needs a convex source. Merged groups are
     // convex by construction, but an unmerged atomic subcomponent need not
     // be (its cloned constant tasks may also feed another subcomponent on
@@ -79,7 +79,7 @@ pub fn uncoarsen(
             convex[a_idx] = true;
             convex[b_idx] = true;
             moves += 1;
-            adj = ctx.adjacency(groups);
+            adj = ctx.checker.group_adjacency(groups);
         }
     }
     moves
@@ -158,6 +158,7 @@ mod tests {
     use crate::blocks::{BlockCtx, BlockLimits};
     use crate::coarsen::coarsen;
     use rannc_graph::convex::ConvexChecker;
+    use rannc_graph::{DType, GraphBuilder, OpKind, TaskId};
     use rannc_hw::DeviceSpec;
     use rannc_models::{bert_graph, mlp_graph, BertConfig, MlpConfig};
     use rannc_profile::{Profiler, ProfilerOptions};
@@ -220,6 +221,64 @@ mod tests {
             covered.union_with(s);
         }
         assert_eq!(covered.len(), g.num_tasks());
+    }
+
+    /// A source group that is not convex on entry is tested whole: the
+    /// piece-local test presumes a convex source. The constant `wt` feeds
+    /// both matmuls, so the atomic subcomponent of the second one,
+    /// `{wt, mm2}`, is not convex (`wt → mm1 → mm2` leaves it). Moving
+    /// `relu` out of `{wt, mm2, relu}` would lower the cut and passes the
+    /// local test, but leaves that non-convex rest behind.
+    #[test]
+    fn non_convex_source_is_tested_whole() {
+        let mut b = GraphBuilder::new("clone");
+        let x = b.input("x", [4, 4], DType::F32);
+        let w = b.param("w", [4, 4]);
+        let wt = b.transpose(w, [4, 4]); // task 0: constant, cloned
+        let v1 = b.matmul(x, wt); // task 1
+        let v2 = b.matmul(v1, wt); // task 2
+        let v3 = b.unary(OpKind::Relu, v2); // task 3
+        let v4 = b.binary(OpKind::Add, v3, v2); // task 4
+        b.output(v4);
+        let g = b.finish();
+        let n = g.num_tasks();
+        let set = |ids: &[u32]| TaskSet::from_ids(n, ids.iter().map(|&i| TaskId(i)));
+        assert!(atomic_partition(&g).sets.contains(&set(&[0, 2])));
+
+        let mut groups = vec![set(&[0, 1]), set(&[0, 2, 3]), set(&[4])];
+        let merges = vec![MergeRecord {
+            level: 0,
+            v: set(&[2]),
+            w: set(&[3]),
+        }];
+        let mut ck = ConvexChecker::new(&g);
+        assert!(!ck.is_convex(&groups[1]), "the source starts non-convex");
+        // Only the source side rejects moving task 3 into the last group.
+        let rest = set(&[0, 2]);
+        let target = set(&[3, 4]);
+        assert!(ck.is_convex_without(&groups[1], &set(&[3])));
+        assert!(!ck.is_convex(&rest));
+        assert!(ck.is_convex(&target));
+        let cut = |a: &TaskSet, b: &TaskSet| {
+            traverse::cut_bytes(&g, a, b) + traverse::cut_bytes(&g, b, a)
+        };
+        assert!(cut(&rest, &target) < cut(&groups[1], &groups[2]));
+
+        // Whole-set evaluation: every candidate leaves or forms a
+        // non-convex group, so nothing moves.
+        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let mut ctx = BlockCtx::new(
+            &g,
+            &profiler,
+            BlockLimits {
+                k: 1,
+                mem_limit: 32 << 30,
+                profile_batch: 2,
+            },
+        );
+        let before = groups.clone();
+        assert_eq!(uncoarsen(&mut ctx, &mut groups, &merges), 0);
+        assert_eq!(groups, before);
     }
 
     #[test]

@@ -13,64 +13,8 @@
 //! layer-local sets produced during coarsening this makes each check touch
 //! only a few dozen tasks instead of the whole graph.
 
+use crate::traverse::{csr_topo_positions, Csr};
 use crate::{Membership, TaskGraph, TaskId, TaskSet};
-
-/// Compressed per-task neighbour lists: row `t` is
-/// `adj[off[t]..off[t + 1]]`.
-struct Csr {
-    off: Vec<u32>,
-    adj: Vec<TaskId>,
-}
-
-impl Csr {
-    #[inline]
-    fn row(&self, t: TaskId) -> &[TaskId] {
-        &self.adj[self.off[t.index()] as usize..self.off[t.index() + 1] as usize]
-    }
-
-    /// Successor table: row `t` is [`TaskGraph::task_successors`]`(t)`,
-    /// built with one reused scratch buffer instead of one `Vec` per task.
-    fn successors(g: &TaskGraph) -> Csr {
-        let mut off = Vec::with_capacity(g.num_tasks() + 1);
-        let mut adj = Vec::new();
-        let mut row = Vec::new();
-        off.push(0);
-        for (_, task) in g.tasks() {
-            row.clear();
-            for &v in &task.outputs {
-                row.extend_from_slice(&g.value(v).consumers);
-            }
-            row.sort_unstable();
-            row.dedup();
-            adj.extend_from_slice(&row);
-            off.push(adj.len() as u32);
-        }
-        Csr { off, adj }
-    }
-
-    /// The transposed table. Rows come out sorted and distinct because
-    /// `self`'s rows are distinct and are scanned in ascending task order:
-    /// for a successor table this is [`TaskGraph::task_predecessors`].
-    fn transpose(&self) -> Csr {
-        let n = self.off.len() - 1;
-        let mut off = vec![0u32; n + 1];
-        for s in &self.adj {
-            off[s.index() + 1] += 1;
-        }
-        for i in 0..n {
-            off[i + 1] += off[i];
-        }
-        let mut next = off.clone();
-        let mut adj = vec![TaskId(0); self.adj.len()];
-        for t in (0..n as u32).map(TaskId) {
-            for s in self.row(t) {
-                adj[next[s.index()] as usize] = t;
-                next[s.index()] += 1;
-            }
-        }
-        Csr { off, adj }
-    }
-}
 
 /// Reusable convexity checker for one graph.
 ///
@@ -93,7 +37,7 @@ impl ConvexChecker {
     pub fn new(g: &TaskGraph) -> Self {
         let succ = Csr::successors(g);
         let pred = succ.transpose();
-        let pos = topo_positions(&succ, &pred);
+        let pos = csr_topo_positions(&succ);
         ConvexChecker {
             pos,
             succ,
@@ -219,7 +163,7 @@ impl ConvexChecker {
     /// Group-level adjacency lists of `groups`: two groups are adjacent
     /// when a task of one has a successor in the other. Sets may overlap
     /// (constant-task clones); a task shared by two groups may mark them
-    /// adjacent.
+    /// adjacent, which is harmless (a merge of such groups is still legal).
     ///
     /// Each list holds its neighbours in first-encounter order — tasks in
     /// ascending id, each task's successors in ascending id, groups in
@@ -249,36 +193,6 @@ impl ConvexChecker {
         }
         adj
     }
-}
-
-/// Topological positions by Kahn's algorithm over the neighbour tables,
-/// with the queue discipline of [`crate::traverse::topo_order`], so the
-/// positions equal [`crate::traverse::topo_positions`]. Panics if the
-/// graph is cyclic.
-fn topo_positions(succ: &Csr, pred: &Csr) -> Vec<u32> {
-    let n = succ.off.len() - 1;
-    let mut indegree: Vec<u32> = pred.off.windows(2).map(|w| w[1] - w[0]).collect();
-    let mut queue: Vec<TaskId> = (0..n as u32)
-        .map(TaskId)
-        .filter(|t| indegree[t.index()] == 0)
-        .collect();
-    let mut head = 0;
-    while head < queue.len() {
-        let t = queue[head];
-        head += 1;
-        for &s in succ.row(t) {
-            indegree[s.index()] -= 1;
-            if indegree[s.index()] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    assert_eq!(queue.len(), n, "graph has a cycle");
-    let mut pos = vec![0u32; n];
-    for (rank, t) in queue.iter().enumerate() {
-        pos[t.index()] = rank as u32;
-    }
-    pos
 }
 
 /// One-shot convexity check (builds a [`ConvexChecker`] internally).

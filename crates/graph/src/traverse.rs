@@ -2,42 +2,111 @@
 
 use crate::{TaskGraph, TaskId, TaskSet, ValueId};
 
-/// Topological order of all tasks (Kahn's algorithm).
-///
-/// If the graph contains a cycle, the returned order is shorter than the
-/// task count; [`TaskGraph::validate`] uses that as the cycle check.
-pub fn topo_order(g: &TaskGraph) -> Vec<TaskId> {
-    let n = g.num_tasks();
+/// Compressed per-task neighbour lists: row `t` is
+/// `adj[off[t]..off[t + 1]]`.
+pub(crate) struct Csr {
+    off: Vec<u32>,
+    adj: Vec<TaskId>,
+}
+
+impl Csr {
+    #[inline]
+    pub(crate) fn row(&self, t: TaskId) -> &[TaskId] {
+        &self.adj[self.off[t.index()] as usize..self.off[t.index() + 1] as usize]
+    }
+
+    /// Successor table: row `t` is [`TaskGraph::task_successors`]`(t)`,
+    /// built with one reused scratch buffer instead of one `Vec` per task.
+    pub(crate) fn successors(g: &TaskGraph) -> Csr {
+        let mut off = Vec::with_capacity(g.num_tasks() + 1);
+        let mut adj = Vec::new();
+        let mut row = Vec::new();
+        off.push(0);
+        for (_, task) in g.tasks() {
+            row.clear();
+            for &v in &task.outputs {
+                row.extend_from_slice(&g.value(v).consumers);
+            }
+            row.sort_unstable();
+            row.dedup();
+            adj.extend_from_slice(&row);
+            off.push(adj.len() as u32);
+        }
+        Csr { off, adj }
+    }
+
+    /// The transposed table. Rows come out sorted and distinct because
+    /// `self`'s rows are distinct and are scanned in ascending task order:
+    /// for a successor table this is [`TaskGraph::task_predecessors`].
+    pub(crate) fn transpose(&self) -> Csr {
+        let n = self.off.len() - 1;
+        let mut off = vec![0u32; n + 1];
+        for s in &self.adj {
+            off[s.index() + 1] += 1;
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        let mut next = off.clone();
+        let mut adj = vec![TaskId(0); self.adj.len()];
+        for t in (0..n as u32).map(TaskId) {
+            for s in self.row(t) {
+                adj[next[s.index()] as usize] = t;
+                next[s.index()] += 1;
+            }
+        }
+        Csr { off, adj }
+    }
+}
+
+/// Kahn's algorithm over a successor table: sources in ascending id, then
+/// first-in first-out, each task's successors in ascending id. Shorter
+/// than the task count when the graph has a cycle.
+fn kahn(succ: &Csr) -> Vec<TaskId> {
+    let n = succ.off.len() - 1;
+    // rows are distinct, so a task's in-degree is its distinct predecessors
     let mut indegree = vec![0u32; n];
-    for t in g.task_ids() {
-        indegree[t.index()] = g.task_predecessors(t).len() as u32;
+    for s in &succ.adj {
+        indegree[s.index()] += 1;
     }
     let mut queue: Vec<TaskId> = (0..n as u32)
         .map(TaskId)
         .filter(|t| indegree[t.index()] == 0)
         .collect();
-    let mut order = Vec::with_capacity(n);
     let mut head = 0;
     while head < queue.len() {
         let t = queue[head];
         head += 1;
-        order.push(t);
-        for s in g.task_successors(t) {
+        for &s in succ.row(t) {
             indegree[s.index()] -= 1;
             if indegree[s.index()] == 0 {
                 queue.push(s);
             }
         }
     }
-    order
+    queue
+}
+
+/// Topological order of all tasks (Kahn's algorithm).
+///
+/// If the graph contains a cycle, the returned order is shorter than the
+/// task count; [`TaskGraph::validate`] uses that as the cycle check.
+pub fn topo_order(g: &TaskGraph) -> Vec<TaskId> {
+    kahn(&Csr::successors(g))
 }
 
 /// Per-task topological position: `pos[t.index()]` is the rank of task `t`
 /// in [`topo_order`]. Panics if the graph is cyclic.
 pub fn topo_positions(g: &TaskGraph) -> Vec<u32> {
-    let order = topo_order(g);
-    assert_eq!(order.len(), g.num_tasks(), "graph has a cycle");
-    let mut pos = vec![0u32; g.num_tasks()];
+    csr_topo_positions(&Csr::successors(g))
+}
+
+/// [`topo_positions`] from an already built successor table.
+pub(crate) fn csr_topo_positions(succ: &Csr) -> Vec<u32> {
+    let order = kahn(succ);
+    let n = succ.off.len() - 1;
+    assert_eq!(order.len(), n, "graph has a cycle");
+    let mut pos = vec![0u32; n];
     for (rank, t) in order.iter().enumerate() {
         pos[t.index()] = rank as u32;
     }
