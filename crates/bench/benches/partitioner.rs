@@ -2,7 +2,9 @@
 //! benchmarks: how expensive is RaNNC's own search?).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rannc::core::{atomic_partition, block_partition, form_stage_dp, BlockLimits, DpParams};
+use rannc::core::{
+    atomic_partition, block_partition, form_stage_dp, BlockLimits, DpArena, DpParams, RangeTable,
+};
 use rannc::prelude::*;
 
 fn bench_atomic(c: &mut Criterion) {
@@ -77,6 +79,10 @@ fn bench_stage_dp(c: &mut Criterion) {
                             tp: 1,
                         },
                         LinkSpec::nvlink(),
+                        &RangeTable::new(),
+                        None,
+                        None,
+                        &mut DpArena::new(),
                     )
                 });
             },

@@ -8,7 +8,7 @@
 //! budget instead of a day.
 
 use crate::report::{Cell, Table};
-use rannc::core::ablation::{form_stage_dp_no_coarsening, AblationOutcome};
+use rannc::core::ablation::{no_coarsening_dp, AblationOutcome};
 use rannc::core::{atomic_partition, DpParams, PartitionPlan};
 use rannc::prelude::*;
 use std::time::{Duration, Instant};
@@ -159,7 +159,7 @@ pub fn run_no_coarsening(
                     tp: 1,
                 };
                 let remaining = deadline.saturating_duration_since(Instant::now());
-                match form_stage_dp_no_coarsening(g, profiler, &atomic, &params, remaining) {
+                match no_coarsening_dp(g, profiler, &atomic, &params, remaining) {
                     AblationOutcome::Solved(sol) => {
                         let plan = PartitionPlan::from_solution(g.name.clone(), &sol, cfg.batch);
                         let sim = rannc::pipeline::simulate_plan(&plan, profiler, cluster)

@@ -1,9 +1,8 @@
-//! `planner_bench` — end-to-end partition-search timing.
+//! `planner_bench` — partition-search thread scaling.
 //!
-//! Times Algorithm 2 twice per bundled model: the sequential baseline
-//! (`form_stage_seq`) and the parallel engine (concurrent `(S, MB)`
-//! sweep + shared stage-cost cache), then writes `BENCH_partition.json`
-//! with wall-clock numbers, speedups, and cache counters.
+//! Times Algorithm 2 twice per bundled model: the engine at one thread
+//! (the baseline) and at `--threads`, then writes `BENCH_partition.json`
+//! with wall-clock numbers, thread-scaling speedups, and memo counters.
 //!
 //! ```sh
 //! planner_bench                      # full grid, 4 threads
@@ -13,8 +12,8 @@
 //! ```
 //!
 //! With `--check` the binary exits nonzero if the emitted JSON is
-//! malformed, any engine plan differs from the sequential baseline, the
-//! shared cache never hit (the memoization would be dead weight), or —
+//! malformed, any engine plan differs from the one-thread baseline, the
+//! stage-cost memo never hit (the memoization would be dead weight), or —
 //! when tracing is off — the observability layer allocated anything
 //! during the timed runs (the zero-overhead-when-disabled contract; the
 //! plan flight recorder is held to the same standard). `--check` also
@@ -264,7 +263,7 @@ fn main() {
                 failed = true;
             }
             if c.search.stage_cache.hits == 0 {
-                eprintln!("check failed: {} shared stage cache never hit", c.model);
+                eprintln!("check failed: {} stage-cost memo never hit", c.model);
                 failed = true;
             }
             if c.profiler_cache.hit_rate() <= 0.0 {

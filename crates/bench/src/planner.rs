@@ -1,23 +1,22 @@
-//! Planner bench: end-to-end partition-search timing, sequential baseline
-//! vs the parallel engine, with cache observability.
+//! Planner bench: partition-search thread scaling — the engine at one
+//! thread vs the engine at `--threads` — with memo observability.
 //!
 //! Each case builds a bundled model, runs the block phase once, then
 //! times Algorithm 2 twice over the *same* block list:
 //!
-//! 1. **baseline** — [`form_stage_seq`]: single thread, no cross-DP
-//!    cache (the historical scan);
-//! 2. **engine** — [`form_stage_with`]: the concurrent `(S, MB)` sweep
-//!    with the shared stage-cost cache.
+//! 1. **baseline** — [`form_stage_with`] at one thread;
+//! 2. **engine** — [`form_stage_with`] at the requested thread count.
 //!
-//! Both runs get a fresh profiler so neither inherits the other's memo
+//! Both runs get a fresh cost model so neither inherits the other's memo
 //! state. The two plans are compared field-by-field (bit-identical
-//! objective values included) — the speedup claim is only meaningful if
-//! faster returns the *same* answer. Results are emitted as
+//! objective values included) — the speedup (baseline time over engine
+//! time) measures thread scaling only, and is only meaningful if the
+//! faster run returns the *same* answer. Results are emitted as
 //! `BENCH_partition.json` so the perf trajectory is tracked PR over PR.
 
 use rannc::core::{
-    atomic_partition, block_partition, form_stage_seq, form_stage_with, Block, BlockLimits,
-    DpSolution, PartitionConfig, PartitionPlan, Rannc, SearchOptions, SearchStats, VerifyMode,
+    atomic_partition, block_partition, form_stage_with, Block, BlockLimits, DpSolution,
+    PartitionConfig, PartitionPlan, Rannc, SearchOptions, SearchStats, VerifyMode,
 };
 use rannc::cost::{Calibration, CostModelSpec};
 use rannc::graph::TaskGraph;
@@ -151,7 +150,7 @@ pub struct CaseResult {
     pub blocks: usize,
     /// Graph build + block phase, seconds (shared by both runs).
     pub prep_seconds: f64,
-    /// Sequential baseline search, seconds.
+    /// Baseline search (the engine at one thread), seconds.
     pub seq_seconds: f64,
     /// Parallel engine search, seconds.
     pub engine_seconds: f64,
@@ -165,7 +164,7 @@ pub struct CaseResult {
     /// Per-stage tensor-parallel degrees of the chosen plan (empty when
     /// infeasible).
     pub plan_tp: Vec<usize>,
-    /// Engine search counters (incl. shared stage-cost cache).
+    /// Engine search counters (incl. the stage-cost memo).
     pub search: SearchStats,
     /// Engine-run profiler cache counters.
     pub profiler_cache: CacheStats,
@@ -235,11 +234,8 @@ fn solutions_identical(a: &Option<DpSolution>, b: &Option<DpSolution>) -> bool {
 /// noise-robust estimator for a deterministic workload, and every
 /// repetition's plans are still compared.
 ///
-/// With `tp_max == 1` the baseline is the historical sequential 2D scan
-/// ([`form_stage_seq`]). With `tp_max > 1` that scan cannot represent
-/// the answer (it never tries `T > 1`), so the baseline becomes the
-/// engine at one thread with the same `tp_max` — the speedup then
-/// measures pure thread scaling of the 3D sweep while the
+/// The baseline is the engine at one thread with the same `tp_max`, so
+/// the speedup measures pure thread scaling of the sweep while the
 /// plans-identical gate still proves determinism.
 pub fn run_case(
     case: &BenchCase,
@@ -276,16 +272,8 @@ pub fn run_case(
     let prep_seconds = t0.elapsed().as_secs_f64();
 
     let tp_max = tp_max.max(1);
-    let opts = SearchOptions {
-        threads,
-        shared_cache: true,
-        tp_max,
-    };
-    let baseline_opts = SearchOptions {
-        threads: 1,
-        shared_cache: false,
-        tp_max,
-    };
+    let opts = SearchOptions { threads, tp_max };
+    let baseline_opts = SearchOptions { threads: 1, tp_max };
     let mut seq_seconds = f64::INFINITY;
     let mut engine_seconds = f64::INFINITY;
     let mut plans_identical = true;
@@ -293,19 +281,15 @@ pub fn run_case(
     for _ in 0..repeats.max(1) {
         let seq_cost = mk_cost();
         let t1 = Instant::now();
-        let seq = if tp_max == 1 {
-            form_stage_seq(&case.graph, &*seq_cost, &blocks, &cluster, case.batch)
-        } else {
-            form_stage_with(
-                &case.graph,
-                &*seq_cost,
-                &blocks,
-                &cluster,
-                case.batch,
-                &baseline_opts,
-            )
-            .0
-        };
+        let seq = form_stage_with(
+            &case.graph,
+            &*seq_cost,
+            &blocks,
+            &cluster,
+            case.batch,
+            &baseline_opts,
+        )
+        .0;
         seq_seconds = seq_seconds.min(t1.elapsed().as_secs_f64());
 
         let engine_cost = mk_cost();
@@ -897,7 +881,7 @@ pub fn compare_baseline(report: &BenchReport, baseline: &str) -> Result<Vec<Stri
             regressions.push(c.model.clone());
         }
     }
-    // Geomean-speedup gate: the aggregate seq-vs-engine advantage must
+    // Geomean-speedup gate: the aggregate thread-scaling advantage must
     // not silently erode even if every case stays inside its individual
     // wall-time tolerance.
     if let Some(base_geo) = doc.get("geomean_speedup").and_then(Value::as_f64) {
@@ -945,7 +929,7 @@ mod tests {
             assert!(c.plan_stages > 0, "{}: infeasible", c.model);
             assert!(
                 c.search.stage_cache.hits > 0,
-                "{}: shared cache never hit",
+                "{}: stage-cost memo never hit",
                 c.model
             );
         }

@@ -41,7 +41,7 @@ pub enum AblationOutcome {
 
 /// `form_stage_dp` over raw atomic components with additive cost
 /// approximation and a time budget.
-pub fn form_stage_dp_no_coarsening(
+pub fn no_coarsening_dp(
     g: &TaskGraph,
     cost: &dyn CostModel,
     atomic: &AtomicPartition,
@@ -197,7 +197,8 @@ mod tests {
     use super::*;
     use crate::atomic::atomic_partition;
     use crate::blocks::{block_partition, BlockLimits};
-    use crate::dp::form_stage_dp;
+    use crate::dp::{form_stage_dp, DpArena};
+    use crate::stagecache::RangeTable;
     use rannc_hw::{DeviceSpec, LinkSpec};
     use rannc_models::{mlp_graph, MlpConfig};
     use rannc_profile::{Profiler, ProfilerOptions};
@@ -219,7 +220,7 @@ mod tests {
         let g = mlp_graph(&MlpConfig::deep(64, 64, 8, 10));
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let atomic = atomic_partition(&g);
-        let out = form_stage_dp_no_coarsening(
+        let out = no_coarsening_dp(
             &g,
             &profiler,
             &atomic,
@@ -243,7 +244,7 @@ mod tests {
         let atomic = atomic_partition(&g);
         let p = params(2, 2, 32 << 30);
         let AblationOutcome::Solved(additive) =
-            form_stage_dp_no_coarsening(&g, &profiler, &atomic, &p, Duration::from_secs(30))
+            no_coarsening_dp(&g, &profiler, &atomic, &p, Duration::from_secs(30))
         else {
             panic!("additive search failed")
         };
@@ -257,7 +258,18 @@ mod tests {
                 profile_batch: 4,
             },
         );
-        let profiled = form_stage_dp(&g, &profiler, &blocks, &p, LinkSpec::nvlink()).unwrap();
+        let profiled = form_stage_dp(
+            &g,
+            &profiler,
+            &blocks,
+            &p,
+            LinkSpec::nvlink(),
+            &RangeTable::new(),
+            None,
+            None,
+            &mut DpArena::new(),
+        )
+        .unwrap();
         assert!(
             additive.value >= profiled.value,
             "additive {} < profiled {}",
@@ -271,7 +283,7 @@ mod tests {
         let g = mlp_graph(&MlpConfig::deep(64, 64, 40, 10));
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let atomic = atomic_partition(&g);
-        let out = form_stage_dp_no_coarsening(
+        let out = no_coarsening_dp(
             &g,
             &profiler,
             &atomic,

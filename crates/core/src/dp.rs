@@ -19,10 +19,11 @@
 
 use crate::blocks::Block;
 use crate::placement::SlotTable;
-use crate::stagecache::{StageCost, StageCostCache, StageEvalCtx};
+use crate::stagecache::{RangeTable, StageCost, StageEvalCtx};
 use rannc_cost::CostModel;
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::{ClusterSpec, LinkSpec};
+use rannc_profile::CacheStats;
 use serde::{Deserialize, Serialize};
 
 /// Inputs of one `form_stage_dp` invocation.
@@ -130,14 +131,15 @@ struct MemoKey {
 }
 
 /// Reusable cross-candidate scratch of Algorithm 1: the flat DP tables
-/// and the flat `(b_prev, b, repl)` stage-cost memo.
+/// and the flat `(b_prev, b, repl)` stage-cost memo — the planner's only
+/// stage-cost memo.
 ///
-/// Historically every `form_stage_dp_cached` invocation allocated its
-/// tables and memo from zero — at paper scale that is thousands of
-/// multi-megabyte allocations per sweep, and the memo entries of one
-/// candidate (pure functions of `(b_prev, b, repl)` given the memo key)
-/// were thrown away even though the next candidate with the same
-/// `(R, MB, ckpt)` re-derives exactly the same values. The arena keeps
+/// Allocating the tables and memo from zero per DP invocation would, at
+/// paper scale, mean thousands of multi-megabyte allocations per sweep,
+/// and would throw away the memo entries of one candidate (pure functions
+/// of `(b_prev, b, repl)` given the memo key) although the next candidate
+/// with the same `(R, MB, ckpt)` re-derives exactly the same values. The
+/// arena keeps
 /// both across invocations: tables are `clear`+`resize` filled (capacity
 /// retained), and the memo is *stamped* — entries written under an older
 /// stamp are invisible, so switching candidates is one integer bump, not
@@ -160,12 +162,21 @@ pub struct DpArena {
     memo: Vec<(u32, Option<StageCost>)>,
     stamp: u32,
     key: Option<MemoKey>,
+    /// Memo lookups answered without evaluating, over the arena's life.
+    hits: u64,
+    /// Stage evaluations (memo misses), over the arena's life.
+    evals: u64,
 }
 
 impl DpArena {
     /// An empty arena; tables are sized on first use.
     pub fn new() -> Self {
         DpArena::default()
+    }
+
+    /// Memo behaviour over the arena's life.
+    pub fn stats(&self) -> CacheStats {
+        memo_stats(self.hits, self.evals)
     }
 
     /// Size the tables for one candidate and invalidate the memo if the
@@ -203,6 +214,17 @@ impl DpArena {
     }
 }
 
+/// Stage-cost memo counters as a [`CacheStats`]: `hits` are memo hits,
+/// `misses` and entries are stage evaluations.
+pub(crate) fn memo_stats(hits: u64, evals: u64) -> CacheStats {
+    CacheStats {
+        hits,
+        misses: evals,
+        shard_sizes: vec![evals as usize],
+        ..CacheStats::default()
+    }
+}
+
 /// Objective terms of a stage placed on a device group `scale`× slower
 /// than the template: the compute part stretches, the communication part
 /// does not. `scale == 1.0` short-circuits to the cached terms so a
@@ -223,95 +245,36 @@ fn scaled_objectives(cost: &StageCost, scale: f64) -> (f64, f64) {
 /// Returns `None` when INFEASIBLE (no split of the blocks into `S`
 /// memory-feasible stages over exactly `D` devices exists).
 ///
-/// Candidate-stage evaluations are memoised in a private
-/// [`StageCostCache`]; use [`form_stage_dp_cached`] to share one cache
-/// across DP invocations (Algorithm 2 does).
+/// Block-range unions come from `ranges`, which may be shared by every
+/// DP invocation over the same block list. The DP tables and the flat
+/// `(b_prev, b, repl)` stage-cost memo live in `arena` and survive
+/// across invocations — Algorithm 2 runs all candidates of one
+/// micro-batch group through one arena, so the memo filled by the
+/// `S`-stage candidate answers most lookups of the `S+1`-stage one.
+/// Memoised evaluations are pure functions of their key, so reuse is
+/// bit-identical to a fresh arena (the `prop_dp_flat.rs` property test
+/// holds this against a test-support reference DP).
+///
+/// With a [`SlotTable`] (heterogeneous clusters), each candidate stage
+/// occupying device slots `[d′, d)` is additionally checked against the
+/// tightest memory of those slots and its compute time is stretched by
+/// the group's worst slow-down versus the template device. Both
+/// adjustments happen *after* the position-independent memo lookup, so
+/// the memo stays valid. The paper's `d_min` pruning is disabled in
+/// placed mode: with position-dependent memory bounds, infeasibility at
+/// budget `d` no longer implies infeasibility below it.
+///
+/// `cluster` is required whenever `p.tp > 1` (tensor-parallel stage
+/// pricing needs the collective topology); `None` keeps the
+/// pipeline-only evaluation.
+#[allow(clippy::too_many_arguments)]
 pub fn form_stage_dp(
     g: &TaskGraph,
     cost: &dyn CostModel,
     blocks: &[Block],
     p: &DpParams,
     link: LinkSpec,
-) -> Option<DpSolution> {
-    form_stage_dp_cached(g, cost, blocks, p, link, &StageCostCache::new())
-}
-
-/// Algorithm 1 with a caller-provided shared stage-cost cache.
-///
-/// The cache may be shared across any set of `(S, MB, R)` candidates over
-/// the *same* block list, batch size, memory limit and link — everything
-/// a stage cost depends on beyond those is part of the cache key. The
-/// result is bit-identical to [`form_stage_dp`]: cached evaluations are
-/// pure, so reuse cannot change any DP decision.
-pub fn form_stage_dp_cached(
-    g: &TaskGraph,
-    cost: &dyn CostModel,
-    blocks: &[Block],
-    p: &DpParams,
-    link: LinkSpec,
-    cache: &StageCostCache,
-) -> Option<DpSolution> {
-    form_stage_dp_placed(g, cost, blocks, p, link, cache, None, None)
-}
-
-/// Algorithm 1, placement-aware: the heterogeneous-cluster entry point.
-///
-/// With `slots = None` this *is* [`form_stage_dp_cached`] — the legacy
-/// homogeneous DP, bit for bit. With a [`SlotTable`], each candidate
-/// stage occupying device slots `[d′, d)` is additionally checked
-/// against the tightest memory of those slots and its compute time is
-/// stretched by the group's worst slow-down versus the template device.
-/// Both adjustments happen *after* the position-independent cache
-/// lookup, so the stage-cost cache stays valid and shared. The paper's
-/// `d_min` pruning is disabled in placed mode: with position-dependent
-/// memory bounds, infeasibility at budget `d` no longer implies
-/// infeasibility below it.
-///
-/// `cluster` is required whenever `p.tp > 1` (tensor-parallel stage
-/// pricing needs the collective topology); `None` keeps the legacy
-/// pipeline-only evaluation.
-#[allow(clippy::too_many_arguments)]
-pub fn form_stage_dp_placed(
-    g: &TaskGraph,
-    cost: &dyn CostModel,
-    blocks: &[Block],
-    p: &DpParams,
-    link: LinkSpec,
-    cache: &StageCostCache,
-    slots: Option<&SlotTable>,
-    cluster: Option<&ClusterSpec>,
-) -> Option<DpSolution> {
-    form_stage_dp_in(
-        g,
-        cost,
-        blocks,
-        p,
-        link,
-        cache,
-        slots,
-        cluster,
-        &mut DpArena::new(),
-    )
-}
-
-/// Algorithm 1 with caller-provided scratch: the engine entry point.
-///
-/// Identical to [`form_stage_dp_placed`] except the DP tables and the
-/// flat `(b_prev, b, repl)` stage-cost memo live in `arena` and survive
-/// across invocations — Algorithm 2 runs all candidates of one
-/// micro-batch group through one arena, so the memo filled by the
-/// `S`-stage candidate answers most lookups of the `S+1`-stage one.
-/// Memoised evaluations are pure functions of their key, so reuse is
-/// bit-identical to a fresh arena (the `prop_dp_flat.rs` property test
-/// holds this against [`form_stage_dp_hashmap`]).
-#[allow(clippy::too_many_arguments)]
-pub fn form_stage_dp_in(
-    g: &TaskGraph,
-    cost: &dyn CostModel,
-    blocks: &[Block],
-    p: &DpParams,
-    link: LinkSpec,
-    cache: &StageCostCache,
+    ranges: &RangeTable,
     slots: Option<&SlotTable>,
     cluster: Option<&ClusterSpec>,
     arena: &mut DpArena,
@@ -352,6 +315,8 @@ pub fn form_stage_dp_in(
         parent,
         memo,
         stamp,
+        hits,
+        evals,
         ..
     } = arena;
     let stamp = *stamp;
@@ -385,16 +350,18 @@ pub fn form_stage_dp_in(
                             continue;
                         }
                         // Flat stamped memo over (b_prev, b, repl): the
-                        // same triple is queried from every (s, d) cell —
+                        // same triple is queried from every (s, d) cell
                         // and, across candidates sharing a memo key, from
-                        // every stage count — so an array index beats the
-                        // shared cache's hash + shard lock by an order of
-                        // magnitude.
+                        // every stage count.
                         let li = (b_prev * bs1 + b) * ds1 + repl;
                         let looked_up = match memo[li] {
-                            (st, c) if st == stamp => c,
+                            (st, c) if st == stamp => {
+                                *hits += 1;
+                                c
+                            }
                             _ => {
-                                let c = eval.eval_cached(cache, b_prev, b, repl);
+                                *evals += 1;
+                                let c = eval.eval_cached(ranges, b_prev, b, repl);
                                 memo[li] = (stamp, c);
                                 c
                             }
@@ -446,7 +413,8 @@ pub fn form_stage_dp_in(
         return None; // INFEASIBLE
     }
 
-    // Reconstruct.
+    // Reconstruct: every stage on the optimal path was looked up under
+    // this call's stamp, so its cost is read back from the memo (a hit).
     let mut stages_rev: Vec<DpStage> = Vec::with_capacity(s_max);
     let (mut b, mut d) = (nb, d_max);
     for s in (1..=s_max).rev() {
@@ -454,161 +422,11 @@ pub fn form_stage_dp_in(
         let (b_prev, d_prev) = (b_prev as usize, d_prev as usize);
         let repl = d - d_prev;
         let micro = p.batch_size / p.replica_factor / p.microbatches / repl;
-        let cost = eval
-            .eval_cached(cache, b_prev, b, repl)
-            .expect("reconstructed stage must be feasible");
-        let set = eval.range_of(cache, b_prev, b).set.clone();
-        let (fwd_time, bwd_time) = match slots {
-            None => (cost.comp_f, cost.comp_b),
-            Some(t) => {
-                let sc = t.group_scale(d_prev * p.tp, d * p.tp);
-                (cost.comp_f * sc, cost.comp_b * sc)
-            }
-        };
-        stages_rev.push(DpStage {
-            set,
-            block_range: (b_prev, b),
-            devices: repl,
-            tensor_parallel: p.tp,
-            micro_batch: micro,
-            fwd_time,
-            bwd_time,
-            mem_bytes: cost.mem,
-            param_elems: cost.params,
-        });
-        b = b_prev;
-        d = d_prev;
-    }
-    stages_rev.reverse();
-
-    Some(DpSolution {
-        value: v[idx(s_max, nb, d_max)],
-        stages: stages_rev,
-        microbatches: p.microbatches,
-        replica_factor: p.replica_factor,
-    })
-}
-
-/// The legacy Algorithm 1: per-invocation `HashMap` memo, fresh tables
-/// every call.
-///
-/// This is the pre-arena implementation, kept verbatim as the reference
-/// the flat-table engine is differential-tested against: `prop_dp_flat`
-/// asserts [`form_stage_dp_in`] — including arena reuse across
-/// candidates — returns bit-identical plans and costs. Not used by the
-/// planner itself.
-#[allow(clippy::too_many_arguments)]
-pub fn form_stage_dp_hashmap(
-    g: &TaskGraph,
-    cost: &dyn CostModel,
-    blocks: &[Block],
-    p: &DpParams,
-    link: LinkSpec,
-    cache: &StageCostCache,
-    slots: Option<&SlotTable>,
-    cluster: Option<&ClusterSpec>,
-) -> Option<DpSolution> {
-    let nb = blocks.len();
-    let s_max = p.stages;
-    let d_max = p.devices;
-    if s_max == 0 || s_max > nb || d_max < s_max || p.microbatches == 0 || p.tp == 0 {
-        return None;
-    }
-    if p.batch_size / p.replica_factor / p.microbatches == 0 {
-        return None;
-    }
-    let eval = StageEvalCtx::new(g, cost, blocks, p, link, cluster);
-
-    let bs1 = nb + 1;
-    let ds1 = d_max + 1;
-    let idx = |s: usize, b: usize, d: usize| (s * bs1 + b) * ds1 + d;
-    let mut v = vec![INF; (s_max + 1) * bs1 * ds1];
-    let mut tf = vec![0.0f64; (s_max + 1) * bs1 * ds1];
-    let mut tb = vec![0.0f64; (s_max + 1) * bs1 * ds1];
-    let mut parent: Vec<(u32, u32)> = vec![(u32::MAX, u32::MAX); (s_max + 1) * bs1 * ds1];
-    v[idx(0, 0, 0)] = 0.0;
-
-    let mut local: std::collections::HashMap<(usize, usize, usize), Option<StageCost>> =
-        std::collections::HashMap::new();
-
-    let mut d_min = 1usize;
-
-    for s in 1..=s_max {
-        for b in s..=nb - s_max + s {
-            let d_hi = d_max - (s_max - s);
-            let d_lo = d_min.max(s);
-            if d_hi < d_lo {
-                continue;
-            }
-            let mut d = d_hi;
-            loop {
-                let mut found = false;
-                let mut saw_micro_zero = false;
-                for b_prev in (s - 1)..b {
-                    for d_prev in (s - 1)..d {
-                        if v[idx(s - 1, b_prev, d_prev)] == INF {
-                            continue;
-                        }
-                        let repl = d - d_prev;
-                        if p.batch_size / p.replica_factor / p.microbatches / repl == 0 {
-                            saw_micro_zero = true;
-                            continue;
-                        }
-                        let looked_up = *local
-                            .entry((b_prev, b, repl))
-                            .or_insert_with(|| eval.eval_cached(cache, b_prev, b, repl));
-                        let Some(cost) = looked_up else {
-                            continue;
-                        };
-                        let (obj_f, obj_b) = match slots {
-                            None => (cost.obj_f, cost.obj_b),
-                            Some(t) => {
-                                if cost.mem > t.group_mem(d_prev * p.tp, d * p.tp) {
-                                    continue;
-                                }
-                                scaled_objectives(&cost, t.group_scale(d_prev * p.tp, d * p.tp))
-                            }
-                        };
-                        let cand_f = tf[idx(s - 1, b_prev, d_prev)].max(obj_f);
-                        let cand_b = tb[idx(s - 1, b_prev, d_prev)].max(obj_b);
-                        let cand_v = cand_f + cand_b;
-                        found = true;
-                        let here = idx(s, b, d);
-                        if cand_v < v[here] {
-                            v[here] = cand_v;
-                            tf[here] = cand_f;
-                            tb[here] = cand_b;
-                            parent[here] = (b_prev as u32, d_prev as u32);
-                        }
-                    }
-                }
-                if !found && !saw_micro_zero && slots.is_none() {
-                    d_min = d_min.max(d + 1);
-                    break;
-                }
-                if d == d_lo {
-                    break;
-                }
-                d -= 1;
-            }
-        }
-    }
-
-    if v[idx(s_max, nb, d_max)] == INF {
-        return None;
-    }
-
-    let mut stages_rev: Vec<DpStage> = Vec::with_capacity(s_max);
-    let (mut b, mut d) = (nb, d_max);
-    for s in (1..=s_max).rev() {
-        let (b_prev, d_prev) = parent[idx(s, b, d)];
-        let (b_prev, d_prev) = (b_prev as usize, d_prev as usize);
-        let repl = d - d_prev;
-        let micro = p.batch_size / p.replica_factor / p.microbatches / repl;
-        let cost = eval
-            .eval_cached(cache, b_prev, b, repl)
-            .expect("reconstructed stage must be feasible");
-        let set = eval.range_of(cache, b_prev, b).set.clone();
+        let (st, cost) = memo[(b_prev * bs1 + b) * ds1 + repl];
+        debug_assert_eq!(st, stamp, "reconstructed stage was memoised");
+        *hits += 1;
+        let cost = cost.expect("reconstructed stage must be feasible");
+        let set = eval.range_of(ranges, b_prev, b).set.clone();
         let (fwd_time, bwd_time) = match slots {
             None => (cost.comp_f, cost.comp_b),
             Some(t) => {
@@ -666,6 +484,26 @@ mod tests {
         (g, blocks)
     }
 
+    /// One DP call through a fresh range table and arena.
+    fn dp(
+        g: &TaskGraph,
+        cost: &dyn CostModel,
+        blocks: &[Block],
+        p: &DpParams,
+    ) -> Option<DpSolution> {
+        form_stage_dp(
+            g,
+            cost,
+            blocks,
+            p,
+            LinkSpec::nvlink(),
+            &RangeTable::new(),
+            None,
+            None,
+            &mut DpArena::new(),
+        )
+    }
+
     fn params(s: usize, d: usize) -> DpParams {
         DpParams {
             stages: s,
@@ -682,8 +520,7 @@ mod tests {
     fn two_stage_split_of_uniform_chain_is_balanced() {
         let (g, blocks) = setup(16, 128, 8);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let sol = form_stage_dp(&g, &profiler, &blocks, &params(2, 2), LinkSpec::nvlink())
-            .expect("feasible");
+        let sol = dp(&g, &profiler, &blocks, &params(2, 2)).expect("feasible");
         assert_eq!(sol.stages.len(), 2);
         // uniform chain: the two stages should contain similar block counts
         let (a, b) = (
@@ -700,8 +537,7 @@ mod tests {
     fn stages_cover_all_blocks_in_order() {
         let (g, blocks) = setup(12, 64, 6);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let sol = form_stage_dp(&g, &profiler, &blocks, &params(3, 4), LinkSpec::nvlink())
-            .expect("feasible");
+        let sol = dp(&g, &profiler, &blocks, &params(3, 4)).expect("feasible");
         assert_eq!(sol.stages.len(), 3);
         let mut next = 0;
         for st in &sol.stages {
@@ -717,13 +553,7 @@ mod tests {
     fn infeasible_when_more_stages_than_blocks() {
         let (g, blocks) = setup(4, 32, 4);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let sol = form_stage_dp(
-            &g,
-            &profiler,
-            &blocks,
-            &params(blocks.len() + 1, 16),
-            LinkSpec::nvlink(),
-        );
+        let sol = dp(&g, &profiler, &blocks, &params(blocks.len() + 1, 16));
         assert!(sol.is_none());
     }
 
@@ -733,7 +563,7 @@ mod tests {
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let mut p = params(2, 2);
         p.mem_limit = 1;
-        assert!(form_stage_dp(&g, &profiler, &blocks, &p, LinkSpec::nvlink()).is_none());
+        assert!(dp(&g, &profiler, &blocks, &p).is_none());
     }
 
     #[test]
@@ -742,12 +572,8 @@ mod tests {
         // the bottleneck; value with d=4 must be <= value with d=2.
         let (g, blocks) = setup(16, 128, 8);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let v2 = form_stage_dp(&g, &profiler, &blocks, &params(2, 2), LinkSpec::nvlink())
-            .unwrap()
-            .value;
-        let v4 = form_stage_dp(&g, &profiler, &blocks, &params(2, 4), LinkSpec::nvlink())
-            .unwrap()
-            .value;
+        let v2 = dp(&g, &profiler, &blocks, &params(2, 2)).unwrap().value;
+        let v4 = dp(&g, &profiler, &blocks, &params(2, 4)).unwrap().value;
         assert!(v4 <= v2 * 1.0001, "v2={v2} v4={v4}");
     }
 
@@ -758,7 +584,7 @@ mod tests {
         let (g, blocks) = setup(6, 32, 6);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let p = params(2, 3);
-        let dp = form_stage_dp(&g, &profiler, &blocks, &p, LinkSpec::nvlink()).unwrap();
+        let sol = dp(&g, &profiler, &blocks, &p).unwrap();
 
         // brute force all split points and device splits (exactly D devices)
         let nb = blocks.len();
@@ -799,17 +625,63 @@ mod tests {
             }
         }
         assert!(
-            (dp.value - best).abs() < 1e-12,
+            (sol.value - best).abs() < 1e-12,
             "dp={} brute={best}",
-            dp.value
+            sol.value
         );
+    }
+
+    /// Two calls with the same memo key through one arena evaluate each
+    /// `(b_prev, b, repl)` once: the second call only hits.
+    #[test]
+    fn arena_memo_evaluates_each_stage_once() {
+        let (g, blocks) = setup(12, 64, 6);
+        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let ranges = RangeTable::new();
+        let mut arena = DpArena::new();
+        let p = params(3, 4);
+        let run = |arena: &mut DpArena| {
+            form_stage_dp(
+                &g,
+                &profiler,
+                &blocks,
+                &p,
+                LinkSpec::nvlink(),
+                &ranges,
+                None,
+                None,
+                arena,
+            )
+            .expect("feasible")
+        };
+        let first = run(&mut arena);
+        let after_first = arena.stats();
+        // every evaluation filled a distinct memo slot
+        let filled = arena
+            .memo
+            .iter()
+            .filter(|(st, _)| *st == arena.stamp)
+            .count();
+        assert!(after_first.misses > 0);
+        assert_eq!(after_first.misses as usize, filled);
+        assert_eq!(after_first.entries(), filled);
+
+        let second = run(&mut arena);
+        let after_second = arena.stats();
+        assert_eq!(after_second.misses, after_first.misses, "no re-evaluation");
+        assert_eq!(
+            after_second.hits - after_first.hits,
+            after_first.hits + after_first.misses,
+            "the second call's lookups are all hits"
+        );
+        assert_eq!(first.value.to_bits(), second.value.to_bits());
     }
 
     #[test]
     fn estimated_iteration_time_formula() {
         let (g, blocks) = setup(8, 64, 4);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let sol = form_stage_dp(&g, &profiler, &blocks, &params(2, 2), LinkSpec::nvlink()).unwrap();
+        let sol = dp(&g, &profiler, &blocks, &params(2, 2)).unwrap();
         let expect = (4 + 2 - 1) as f64 * sol.value;
         assert!((sol.estimated_iteration_time() - expect).abs() < 1e-12);
     }

@@ -51,17 +51,14 @@ pub mod uncoarsen;
 
 pub use atomic::{atomic_partition, AtomicPartition};
 pub use blocks::{block_partition, Block, BlockLimits};
-pub use dp::{
-    form_stage_dp, form_stage_dp_cached, form_stage_dp_hashmap, form_stage_dp_in,
-    form_stage_dp_placed, DpArena, DpParams, DpSolution, DpStage,
-};
+pub use dp::{form_stage_dp, DpArena, DpParams, DpSolution, DpStage};
 pub use explain::annotate_recording;
 pub use placement::SlotTable;
 pub use plan::{PartitionPlan, PlanError, StagePlan};
 pub use plan_io::{decode_plan, encode_plan, load_plan, save_plan, PlanIoError};
 pub use replan::{diff_plans, PlanDiff, ReplanOutcome};
-pub use search::{form_stage, form_stage_seq, form_stage_with, SearchOptions, SearchStats};
-pub use stagecache::{prefetch_ranges, StageCost, StageCostCache, StageEvalCtx, StageKey};
+pub use search::{form_stage_with, SearchOptions, SearchStats};
+pub use stagecache::{prefetch_ranges, RangeTable, StageCost, StageEvalCtx};
 
 use rannc_cost::{CostModel, CostModelSpec};
 use rannc_graph::TaskGraph;
@@ -106,7 +103,7 @@ pub struct PartitionConfig {
     pub noise_seed: u64,
     /// Static-verification post-pass behaviour (default: [`VerifyMode::Fail`]).
     pub verify: VerifyMode,
-    /// Partition-search engine options (thread count, cross-DP cache).
+    /// Partition-search engine options (thread count, tensor-parallel bound).
     pub search: SearchOptions,
     /// Cost model pricing the search (default: [`CostModelSpec::Analytical`]).
     pub cost: CostModelSpec,
@@ -160,12 +157,6 @@ impl PartitionConfig {
         self
     }
 
-    /// Set the full search-engine options.
-    pub fn with_search(mut self, search: SearchOptions) -> Self {
-        self.search = search;
-        self
-    }
-
     /// Set the largest tensor-parallel degree the `(S, MB, T)` sweep may
     /// try per stage (1 = historical 2D search).
     pub fn with_tp_max(mut self, tp_max: usize) -> Self {
@@ -188,7 +179,7 @@ pub struct PlannerStats {
     /// Profiling-oracle memo cache behaviour (hits/misses/contention,
     /// per-shard sizes).
     pub profiler_cache: CacheStats,
-    /// Search-engine counters, including the shared stage-cost cache.
+    /// Search-engine counters, including the DP arenas' stage-cost memo.
     pub search: SearchStats,
 }
 
@@ -244,8 +235,7 @@ fn render_planner_stats(search: [u64; 5], sc: CacheNums, pc: CacheNums) -> Strin
         "planner stats:\n  \
          search: {} DP candidate(s), {} feasible, {} pruned, {} node tier(s), \
          {} thread(s)\n  \
-         stage cache: {} hits / {} misses ({:.1}% hit rate), {} entries, \
-         {} contended lock(s), max shard {}\n  \
+         stage cache: {} hits / {} misses ({:.1}% hit rate), {} entries\n  \
          profiler cache: {} hits / {} misses ({:.1}% hit rate), {} entries, \
          {} contended lock(s), max shard {}",
         search[0],
@@ -257,8 +247,6 @@ fn render_planner_stats(search: [u64; 5], sc: CacheNums, pc: CacheNums) -> Strin
         sc[1],
         rate(sc[0], sc[1]),
         sc[2],
-        sc[3],
-        sc[4],
         pc[0],
         pc[1],
         rate(pc[0], pc[1]),

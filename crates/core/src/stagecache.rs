@@ -1,49 +1,33 @@
-//! Shared, concurrent stage-cost cache for the partition search.
+//! Stage evaluation and the shared block-range table of the partition
+//! search.
 //!
-//! Algorithm 2 invokes Algorithm 1 once per `(S, MB)` candidate, and the
-//! candidate stages those DP runs evaluate overlap massively: the same
-//! block range `[from, to)` at the same replica count reappears across
-//! every stage count of a node tier, and the same range union is needed
-//! by every micro-batch count. Historically each `form_stage_dp`
-//! invocation rebuilt its memo from zero; this module lifts both memo
-//! layers out of the DP so all candidates share them:
+//! Algorithm 2 invokes Algorithm 1 once per `(S, MB, T)` candidate, and
+//! every DP run needs the task-set union of the block ranges `[from, to)`
+//! it prices. Those unions are the same for every candidate of a search,
+//! so one [`RangeTable`] serves them all: `(from, to) → (task-set union,
+//! egress bytes)` in a flat `(nb+1)²` slot table indexed by
+//! `from·(nb+1)+to`. A repeat query is one array index and no re-hashing;
+//! [`prefetch_ranges`] fills the whole table up front with incremental
+//! prefix unions (`[f, t+1)` = `[f, t) ∪ block t`) instead of letting each
+//! range union its blocks from scratch on first touch.
 //!
-//! * **range table** — `(from, to) → (task-set union, egress bytes)`,
-//!   the expensive `TaskSet` unions, shared by *every* candidate. Ranges
-//!   live in a flat `(nb+1)²` slot table indexed by `from·(nb+1)+to`, so
-//!   a tier's contiguous queries resolve with one array index and no
-//!   re-hashing; [`prefetch_ranges`] fills the whole table up front with
-//!   incremental prefix unions (`[f, t+1)` = `[f, t) ∪ block t`) instead
-//!   of letting each range union its blocks from scratch on first touch;
-//! * **cost cache** — [`StageKey`] `→ Option<StageCost>`, the profiled
-//!   stage evaluations, keyed by everything a stage cost depends on:
-//!   block range, replica count, micro-batch size, in-flight micro-batch
-//!   count and checkpointing flag.
+//! Stage *costs* are memoised by the DP arena alone (see
+//! [`crate::dp::DpArena`]): its stamped `(b_prev, b, repl)` memo is the
+//! only stage-cost memo of the planner.
 //!
-//! The cost map is sharded N ways by key hash and the range table uses
-//! per-slot `OnceLock`s, so the parallel `(S, MB)` sweep scales instead
-//! of serializing on one mutex. Hit/miss/contention counters are
-//! exported as [`rannc_profile::CacheStats`] for `--planner-stats` and
-//! the planner bench.
-//!
-//! Determinism: a cached cost is bit-identical to a fresh evaluation
-//! (the evaluation is a pure function of the key plus search-constant
-//! context), so DP results — and therefore the chosen plan — cannot
-//! depend on which thread happened to fill an entry first. The property
-//! test `prop_stagecache.rs` holds this contract.
+//! Determinism: an evaluation through the range table is bit-identical to
+//! a fresh one ([`StageEvalCtx::eval_fresh`]); the evaluation is a pure
+//! function of the stage plus search-constant context, so DP results —
+//! and therefore the chosen plan — cannot depend on which thread happened
+//! to fill a range first. The property test `prop_stagecache.rs` holds
+//! this contract.
 
 use crate::blocks::Block;
 use crate::dp::DpParams;
 use rannc_cost::CostModel;
 use rannc_graph::{traverse, TaskGraph, TaskSet};
 use rannc_hw::{ClusterSpec, LinkSpec};
-use rannc_profile::CacheStats;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// Shards per map; chosen by key hash.
-const SHARDS: usize = 16;
+use std::sync::{Arc, OnceLock};
 
 /// Evaluated cost of one candidate stage.
 ///
@@ -69,42 +53,6 @@ pub struct StageCost {
     pub params: usize,
 }
 
-/// Everything a stage cost depends on, across all `(S, MB)` candidates
-/// of a search (the batch size, link and memory limit are constant for
-/// one search and live in [`StageEvalCtx`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StageKey {
-    /// Start of the half-open block range.
-    pub from: u32,
-    /// End of the half-open block range.
-    pub to: u32,
-    /// Devices (data-parallel replicas) the stage runs on.
-    pub repl: u32,
-    /// Per-replica micro-batch size the stage is profiled at.
-    pub micro_batch: u32,
-    /// Micro-batches in flight at the memory peak (= `MB`).
-    pub inflight: u32,
-    /// Whether gradient checkpointing is active (`S > 1`).
-    pub ckpt: bool,
-    /// Tensor-parallel degree the stage is priced at (1 = no split).
-    pub tp: u32,
-}
-
-impl StageKey {
-    fn shard(&self) -> usize {
-        let mix = splitmix(
-            (self.from as u64)
-                | ((self.to as u64) << 16)
-                | ((self.repl as u64) << 32)
-                    ^ ((self.micro_batch as u64) << 40)
-                    ^ ((self.inflight as u64) << 52)
-                    ^ ((self.ckpt as u64) << 63)
-                    ^ ((self.tp as u64) << 24),
-        );
-        (mix as usize) % SHARDS
-    }
-}
-
 /// Cached union of a block range.
 pub struct RangeInfo {
     /// Union of the range's block task sets.
@@ -113,84 +61,35 @@ pub struct RangeInfo {
     pub egress: usize,
 }
 
-/// Flat range table: slot `from·(nb+1)+to` holds range `[from, to)`.
-/// Lazily sized on the first query because the cache is built before the
-/// block partition is known; one cache always serves one block partition.
-struct RangeTable {
+/// Slot `from·(nb+1)+to` holds range `[from, to)` of an `nb`-block list.
+struct RangeSlots {
     nb: usize,
     slots: Box<[OnceLock<Arc<RangeInfo>>]>,
 }
 
-/// The shared, sharded two-layer cache. Cheap to create; create one per
-/// `form_stage` search and hand it to every DP invocation.
-pub struct StageCostCache {
-    cost: Vec<Mutex<HashMap<StageKey, Option<StageCost>>>>,
-    ranges: OnceLock<RangeTable>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    contention: AtomicU64,
+/// The shared block-range table of one search. Cheap to create; create
+/// one per search and hand it to every DP invocation. Sized lazily on the
+/// first query; one table serves one block partition.
+#[derive(Default)]
+pub struct RangeTable {
+    slots: OnceLock<RangeSlots>,
 }
 
-impl Default for StageCostCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StageCostCache {
-    /// An empty cache.
+impl RangeTable {
+    /// An empty table.
     pub fn new() -> Self {
-        StageCostCache {
-            cost: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            ranges: OnceLock::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            contention: AtomicU64::new(0),
-        }
-    }
-
-    fn lock_counting<'m, T>(&self, m: &'m Mutex<T>) -> MutexGuard<'m, T> {
-        match m.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contention.fetch_add(1, Ordering::Relaxed);
-                m.lock().unwrap()
-            }
-            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-        }
-    }
-
-    /// Cached cost for `key`, or `None` if never evaluated. The inner
-    /// `Option` is the evaluation result (`None` = infeasible stage).
-    pub fn lookup(&self, key: &StageKey) -> Option<Option<StageCost>> {
-        let found = self
-            .lock_counting(&self.cost[key.shard()])
-            .get(key)
-            .copied();
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Record an evaluation. Concurrent duplicate inserts are harmless:
-    /// the evaluation is pure, so both threads computed the same value.
-    pub fn insert(&self, key: StageKey, value: Option<StageCost>) {
-        self.lock_counting(&self.cost[key.shard()])
-            .insert(key, value);
+        RangeTable::default()
     }
 
     /// The union + egress of block range `[from, to)` over `nb` blocks,
-    /// computing it with `build` on first use. The flat table replaces a
-    /// sharded `HashMap`: a repeat query is one index plus one atomic
-    /// load, and concurrent first touches of the *same* range dedupe the
-    /// union work instead of racing to build it twice.
+    /// computing it with `build` on first use. A repeat query is one index
+    /// plus one atomic load, and concurrent first touches of the *same*
+    /// range dedupe the union work instead of racing to build it twice.
+    ///
+    /// # Panics
+    ///
+    /// If the table was sized for a different block count: the slot index
+    /// would then name another range and return its union.
     pub fn range(
         &self,
         from: usize,
@@ -198,27 +97,12 @@ impl StageCostCache {
         nb: usize,
         build: impl FnOnce() -> RangeInfo,
     ) -> Arc<RangeInfo> {
-        let table = self.ranges.get_or_init(|| RangeTable {
+        let table = self.slots.get_or_init(|| RangeSlots {
             nb,
             slots: (0..(nb + 1) * (nb + 1)).map(|_| OnceLock::new()).collect(),
         });
-        debug_assert_eq!(
-            table.nb, nb,
-            "one StageCostCache serves one block partition"
-        );
-        Arc::clone(table.slots[from * (table.nb + 1) + to].get_or_init(|| Arc::new(build())))
-    }
-
-    /// Snapshot of cost-cache behaviour (the range layer is bounded by
-    /// `B²` entries and not separately instrumented).
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            contention: self.contention.load(Ordering::Relaxed),
-            shard_sizes: self.cost.iter().map(|s| s.lock().unwrap().len()).collect(),
-            ..CacheStats::default()
-        }
+        assert_eq!(table.nb, nb, "one RangeTable serves one block partition");
+        Arc::clone(table.slots[from * (nb + 1) + to].get_or_init(|| Arc::new(build())))
     }
 }
 
@@ -230,7 +114,7 @@ impl StageCostCache {
 /// extends row `f`'s running union by one block per step (`O(nb²)`
 /// words) and batches the whole table before the tier sweep starts, so
 /// every `(from, to)` query inside the DP is a pure table hit.
-pub fn prefetch_ranges(g: &TaskGraph, blocks: &[Block], cache: &StageCostCache, threads: usize) {
+pub fn prefetch_ranges(g: &TaskGraph, blocks: &[Block], ranges: &RangeTable, threads: usize) {
     let nb = blocks.len();
     let rows: Vec<usize> = (0..nb).collect();
     let fill_row = |&from: &usize| {
@@ -239,7 +123,7 @@ pub fn prefetch_ranges(g: &TaskGraph, blocks: &[Block], cache: &StageCostCache, 
             if to > from + 1 {
                 set.union_with(&blocks[to - 1].set);
             }
-            cache.range(from, to, nb, || RangeInfo {
+            ranges.range(from, to, nb, || RangeInfo {
                 set: set.clone(),
                 egress: traverse::egress_bytes(g, &set),
             });
@@ -253,8 +137,9 @@ pub fn prefetch_ranges(g: &TaskGraph, blocks: &[Block], cache: &StageCostCache, 
 }
 
 /// Stage-evaluation context: the search-constant inputs of one
-/// `form_stage_dp` invocation, bundled so the DP, the shared cache and
-/// the property tests all evaluate candidate stages the same way.
+/// `form_stage_dp` invocation, bundled so the DP, the test-support
+/// reference and the property tests all evaluate candidate stages the
+/// same way.
 pub struct StageEvalCtx<'a, 'g> {
     /// The task graph being partitioned.
     pub g: &'g TaskGraph,
@@ -313,42 +198,23 @@ impl<'a, 'g> StageEvalCtx<'a, 'g> {
         }
     }
 
-    /// The shared-cache key of a candidate stage, or `None` when the
-    /// micro-batch would be empty.
-    pub fn key(&self, from: usize, to: usize, repl: usize) -> Option<StageKey> {
-        Some(StageKey {
-            from: from as u32,
-            to: to as u32,
-            repl: repl as u32,
-            micro_batch: self.micro_batch(repl)? as u32,
-            inflight: self.p.microbatches as u32,
-            ckpt: self.ckpt,
-            tp: self.p.tp as u32,
-        })
-    }
-
-    /// Evaluate the stage of blocks `[from, to)` on `repl` devices through
-    /// the shared cache. `None` when the micro-batch would be empty or the
-    /// stage exceeds device memory.
+    /// Evaluate the stage of blocks `[from, to)` on `repl` devices over
+    /// the shared range table. `None` when the micro-batch would be empty
+    /// or the stage exceeds device memory.
     pub fn eval_cached(
         &self,
-        cache: &StageCostCache,
+        ranges: &RangeTable,
         from: usize,
         to: usize,
         repl: usize,
     ) -> Option<StageCost> {
-        let key = self.key(from, to, repl)?;
-        if let Some(hit) = cache.lookup(&key) {
-            return hit;
-        }
-        let range = self.range_of(cache, from, to);
-        let result = self.eval_range(&range.set, range.egress, to, key.micro_batch as usize);
-        cache.insert(key, result);
-        result
+        let micro = self.micro_batch(repl)?;
+        let range = self.range_of(ranges, from, to);
+        self.eval_range(&range.set, range.egress, to, micro)
     }
 
-    /// Evaluate the same stage without any cache — the reference the
-    /// shared cache must agree with exactly.
+    /// Evaluate the same stage without the range table — the reference
+    /// the table must agree with exactly.
     pub fn eval_fresh(&self, from: usize, to: usize, repl: usize) -> Option<StageCost> {
         let micro = self.micro_batch(repl)?;
         let info = self.build_range(from, to);
@@ -356,8 +222,8 @@ impl<'a, 'g> StageEvalCtx<'a, 'g> {
     }
 
     /// The cached task-set union of a block range.
-    pub fn range_of(&self, cache: &StageCostCache, from: usize, to: usize) -> Arc<RangeInfo> {
-        cache.range(from, to, self.blocks.len(), || self.build_range(from, to))
+    pub fn range_of(&self, ranges: &RangeTable, from: usize, to: usize) -> Arc<RangeInfo> {
+        ranges.range(from, to, self.blocks.len(), || self.build_range(from, to))
     }
 
     fn build_range(&self, from: usize, to: usize) -> RangeInfo {
@@ -416,14 +282,6 @@ impl<'a, 'g> StageEvalCtx<'a, 'g> {
     }
 }
 
-#[inline]
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,26 +321,33 @@ mod tests {
     }
 
     #[test]
-    fn cached_equals_fresh_and_counts() {
+    fn cached_equals_fresh() {
         let (g, blocks) = setup();
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let ctx = StageEvalCtx::new(&g, &profiler, &blocks, &params(2), LinkSpec::nvlink(), None);
-        let cache = StageCostCache::new();
+        let ranges = RangeTable::new();
         let nb = blocks.len();
         for from in 0..nb {
             for to in (from + 1)..=nb {
                 for repl in 1..=2usize {
-                    let cached = ctx.eval_cached(&cache, from, to, repl);
+                    let cached = ctx.eval_cached(&ranges, from, to, repl);
                     let fresh = ctx.eval_fresh(from, to, repl);
                     assert_eq!(cached, fresh, "({from},{to},{repl})");
-                    // second lookup must hit and agree
-                    assert_eq!(ctx.eval_cached(&cache, from, to, repl), fresh);
+                    // second query reads the filled range and must agree
+                    assert_eq!(ctx.eval_cached(&ranges, from, to, repl), fresh);
                 }
             }
         }
-        let stats = cache.stats();
-        assert!(stats.hits >= stats.misses, "every key queried twice");
-        assert!(stats.entries() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one RangeTable serves one block partition")]
+    fn table_reused_at_another_block_count_panics() {
+        let (g, blocks) = setup();
+        let ranges = RangeTable::new();
+        prefetch_ranges(&g, &blocks, &ranges, 1);
+        // a shorter block list would index the wrong slot
+        prefetch_ranges(&g, &blocks[..blocks.len() - 1], &ranges, 1);
     }
 
     #[test]
@@ -492,12 +357,12 @@ mod tests {
         let single =
             StageEvalCtx::new(&g, &profiler, &blocks, &params(1), LinkSpec::nvlink(), None);
         let multi = StageEvalCtx::new(&g, &profiler, &blocks, &params(2), LinkSpec::nvlink(), None);
-        let cache = StageCostCache::new();
+        let ranges = RangeTable::new();
         let nb = blocks.len();
-        let a = single.eval_cached(&cache, 0, nb, 1).unwrap();
-        let b = multi.eval_cached(&cache, 0, nb, 1).unwrap();
-        // checkpointing (S > 1) adds recompute time: the cache must not
-        // conflate the two candidates
+        let a = single.eval_cached(&ranges, 0, nb, 1).unwrap();
+        let b = multi.eval_cached(&ranges, 0, nb, 1).unwrap();
+        // checkpointing (S > 1) adds recompute time: sharing the range
+        // table must not conflate the two candidates
         assert!(b.obj_b > a.obj_b);
     }
 
@@ -506,13 +371,13 @@ mod tests {
         let (g, blocks) = setup();
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let ctx = StageEvalCtx::new(&g, &profiler, &blocks, &params(2), LinkSpec::nvlink(), None);
-        let cache = StageCostCache::new();
+        let ranges = RangeTable::new();
         let nb = blocks.len();
         let queries: Vec<(usize, usize, usize)> = (0..nb)
             .flat_map(|f| ((f + 1)..=nb).flat_map(move |t| (1..=3usize).map(move |r| (f, t, r))))
             .collect();
         let par: Vec<_> = crate::par::parallel_map_with(&queries, 4, |&(f, t, r)| {
-            ctx.eval_cached(&cache, f, t, r)
+            ctx.eval_cached(&ranges, f, t, r)
         });
         for (i, &(f, t, r)) in queries.iter().enumerate() {
             assert_eq!(par[i], ctx.eval_fresh(f, t, r), "({f},{t},{r})");

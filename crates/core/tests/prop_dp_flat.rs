@@ -1,19 +1,23 @@
 //! Differential property tests of the flat-table DP engine: the
-//! arena-backed DP (`form_stage_dp_in`) with cross-candidate memo reuse
-//! must match the legacy HashMap-memo DP (`form_stage_dp_hashmap`)
+//! arena-backed DP (`form_stage_dp`) with cross-candidate memo reuse
+//! must match the test-support HashMap-memo DP (`form_stage_dp_hashmap`)
 //! bit-for-bit — plans AND costs — on random graphs, device counts and
 //! candidate orders, and the parallel sweep must match the sequential
 //! reference at every thread count.
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use proptest::prelude::*;
 use rannc_core::{
-    atomic_partition, block_partition, form_stage_dp_hashmap, form_stage_dp_in, form_stage_seq,
-    form_stage_with, BlockLimits, DpArena, DpParams, DpSolution, SearchOptions, StageCostCache,
+    atomic_partition, block_partition, form_stage_dp, form_stage_with, BlockLimits, DpArena,
+    DpParams, DpSolution, RangeTable, SearchOptions,
 };
 use rannc_graph::TaskGraph;
 use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec};
 use rannc_models::{bert_graph, mlp_graph, BertConfig, MlpConfig};
 use rannc_profile::{Profiler, ProfilerOptions};
+use reference::{form_stage_dp_hashmap, form_stage_reference};
 
 fn graphs() -> impl Strategy<Value = TaskGraph> {
     prop_oneof![
@@ -124,8 +128,7 @@ proptest! {
         // between MB groups and between S = 1 / S > 1, which differ in
         // the checkpoint flag).
         let mut arena = DpArena::new();
-        let arena_cache = StageCostCache::new();
-        let hashmap_cache = StageCostCache::new();
+        let ranges = RangeTable::new();
         for mb_pow in 0..3 {
             let microbatches = 1usize << mb_pow;
             for stages in 1..=devices.min(nb) {
@@ -139,13 +142,12 @@ proptest! {
                         mem_limit: 32 << 30,
                         tp: 1,
                     };
-                    let fast = form_stage_dp_in(
+                    let fast = form_stage_dp(
                         &g, &profiler, &blocks, &p, LinkSpec::nvlink(),
-                        &arena_cache, None, None, &mut arena,
+                        &ranges, None, None, &mut arena,
                     );
                     let legacy = form_stage_dp_hashmap(
-                        &g, &profiler, &blocks, &p, LinkSpec::nvlink(),
-                        &hashmap_cache, None, None,
+                        &g, &profiler, &blocks, &p, LinkSpec::nvlink(), None, None,
                     );
                     assert_solutions_identical(
                         &fast,
@@ -158,8 +160,8 @@ proptest! {
     }
 
     /// The full grouped/pruned/parallel sweep returns the same winner as
-    /// the sequential uncached reference engine, at several thread
-    /// counts.
+    /// the one-thread, unpruned test-support reference with fresh memos
+    /// per candidate, at several thread counts.
     #[test]
     fn parallel_sweep_matches_sequential_reference(
         g in graphs(),
@@ -171,9 +173,9 @@ proptest! {
         let cluster = ClusterSpec::v100_cluster(nodes);
         let batch_size = 1usize << batch_pow;
 
-        let reference = form_stage_seq(&g, &profiler, &blocks, &cluster, batch_size);
+        let reference = form_stage_reference(&g, &profiler, &blocks, &cluster, batch_size);
         for threads in [1usize, 2, 4] {
-            let opts = SearchOptions { threads, shared_cache: true, tp_max: 1 };
+            let opts = SearchOptions { threads, tp_max: 1 };
             let (engine, _stats) =
                 form_stage_with(&g, &profiler, &blocks, &cluster, batch_size, &opts);
             assert_solutions_identical(&engine, &reference, &format!("threads={threads}"));

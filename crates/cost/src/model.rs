@@ -184,108 +184,13 @@ impl<'g> CostModel for Profiler<'g> {
     }
 }
 
-/// The analytical cost model: today's [`Profiler`] roofline for stage
-/// compute/memory plus the `rannc-hw` α–β and ring formulas, owned as
-/// one object. Bit-identical to calling those APIs directly.
-pub struct AnalyticalCost<'g> {
-    profiler: Profiler<'g>,
-}
-
-impl<'g> AnalyticalCost<'g> {
-    /// Build the model (and its memo cache) for one graph and device.
-    pub fn new(g: &'g TaskGraph, device: DeviceSpec, opts: ProfilerOptions) -> Self {
-        AnalyticalCost {
-            profiler: Profiler::new(g, device, opts),
-        }
-    }
-
-    /// Wrap an existing profiler, keeping its warm cache.
-    pub fn from_profiler(profiler: Profiler<'g>) -> Self {
-        AnalyticalCost { profiler }
-    }
-
-    /// The underlying profile oracle.
-    pub fn profiler(&self) -> &Profiler<'g> {
-        &self.profiler
-    }
-}
-
-impl<'g> CostModel for AnalyticalCost<'g> {
-    fn graph(&self) -> &TaskGraph {
-        CostModel::graph(&self.profiler)
-    }
-
-    fn options(&self) -> &ProfilerOptions {
-        CostModel::options(&self.profiler)
-    }
-
-    fn device(&self) -> &DeviceSpec {
-        CostModel::device(&self.profiler)
-    }
-
-    fn stage_cost(
-        &self,
-        set: &TaskSet,
-        batch: usize,
-        inflight: usize,
-        checkpointing: bool,
-    ) -> ProfileResult {
-        self.profiler
-            .stage_cost(set, batch, inflight, checkpointing)
-    }
-
-    fn stage_cost_tp(
-        &self,
-        set: &TaskSet,
-        batch: usize,
-        inflight: usize,
-        checkpointing: bool,
-        tp: usize,
-        cluster: &ClusterSpec,
-    ) -> ProfileResult {
-        self.profiler
-            .stage_cost_tp(set, batch, inflight, checkpointing, tp, cluster)
-    }
-
-    fn comm_bytes(&self, from: &TaskSet, to: &TaskSet, batch: usize) -> usize {
-        CostModel::comm_bytes(&self.profiler, from, to, batch)
-    }
-
-    fn transfer_time(&self, link: LinkSpec, bytes: usize) -> f64 {
-        self.profiler.transfer_time(link, bytes)
-    }
-
-    fn allreduce_time(
-        &self,
-        cluster: &ClusterSpec,
-        bytes: usize,
-        group: usize,
-        spans_nodes: bool,
-    ) -> f64 {
-        self.profiler
-            .allreduce_time(cluster, bytes, group, spans_nodes)
-    }
-
-    fn optimizer_time(&self, device: &DeviceSpec, grad_bytes: usize) -> f64 {
-        self.profiler.optimizer_time(device, grad_bytes)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        CostModel::cache_stats(&self.profiler)
-    }
-
-    fn reserve_profiles(&self, expected_sets: usize) {
-        CostModel::reserve_profiles(&self.profiler, expected_sets)
-    }
-}
-
 /// The analytical model with measured correction factors: per-operator
 /// compute factors are applied inside the profiler's roofline, per-link
 /// factors scale transfer and collective times, and an optional memory
 /// factor scales the peak-memory estimate.
 ///
-/// An identity [`Calibration`] prices bit-identically to
-/// [`AnalyticalCost`].
+/// An identity [`Calibration`] prices bit-identically to the raw
+/// [`Profiler`].
 pub struct CalibratedCost<'g> {
     profiler: Profiler<'g>,
     cal: Calibration,
@@ -461,7 +366,7 @@ impl CostModelSpec {
         cluster: &ClusterSpec,
     ) -> Box<dyn CostModel + 'g> {
         match self {
-            CostModelSpec::Analytical => Box::new(AnalyticalCost::new(g, device, opts)),
+            CostModelSpec::Analytical => Box::new(Profiler::new(g, device, opts)),
             CostModelSpec::Calibrated(cal) => {
                 Box::new(CalibratedCost::new(g, device, opts, cal.clone(), cluster))
             }
@@ -480,62 +385,18 @@ impl CostModelSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rannc_graph::TaskId;
     use rannc_models::{bert_graph, BertConfig};
 
     fn whole_set(g: &TaskGraph) -> TaskSet {
         TaskSet::from_ids(g.num_tasks(), g.task_ids())
     }
 
-    fn half_sets(g: &TaskGraph) -> (TaskSet, TaskSet) {
-        let n = g.num_tasks();
-        let half = n / 2;
-        (
-            TaskSet::from_ids(n, (0..half as u32).map(TaskId)),
-            TaskSet::from_ids(n, (half as u32..n as u32).map(TaskId)),
-        )
-    }
-
-    #[test]
-    fn analytical_matches_raw_profiler_bitwise() {
-        let g = bert_graph(&BertConfig::tiny());
-        let cluster = ClusterSpec::v100_cluster(2);
-        let raw = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
-        let model = AnalyticalCost::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
-        let s = whole_set(&g);
-        let a = raw.profile_set(&s, 8, 4, true);
-        let b = model.stage_cost(&s, 8, 4, true);
-        assert_eq!(a.fwd_time.to_bits(), b.fwd_time.to_bits());
-        assert_eq!(a.bwd_time.to_bits(), b.bwd_time.to_bits());
-        assert_eq!(a.mem_bytes, b.mem_bytes);
-
-        let (from, to) = half_sets(&g);
-        assert_eq!(
-            Profiler::comm_bytes(&raw, &from, &to, 8),
-            model.comm_bytes(&from, &to, 8)
-        );
-        let link = cluster.planning_link();
-        assert_eq!(
-            link.transfer_time(1 << 20).to_bits(),
-            model.transfer_time(link, 1 << 20).to_bits()
-        );
-        for spans in [false, true] {
-            assert_eq!(
-                cluster.replica_allreduce_time(1 << 26, 4, spans).to_bits(),
-                model.allreduce_time(&cluster, 1 << 26, 4, spans).to_bits()
-            );
-        }
-        assert_eq!(
-            cluster.device.optimizer_step_time(1 << 26).to_bits(),
-            model.optimizer_time(&cluster.device, 1 << 26).to_bits()
-        );
-    }
-
     #[test]
     fn identity_calibration_matches_analytical_bitwise() {
+        // the analytical model is the raw profiler
         let g = bert_graph(&BertConfig::tiny());
         let cluster = ClusterSpec::v100_cluster(2);
-        let analytical = AnalyticalCost::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+        let analytical = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
         let calibrated = CalibratedCost::new(
             &g,
             cluster.device.clone(),
@@ -588,7 +449,7 @@ mod tests {
             optimizer: 1.4,
             memory: 1.1,
         };
-        let analytical = AnalyticalCost::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+        let analytical = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
         let calibrated = CalibratedCost::new(
             &g,
             cluster.device.clone(),

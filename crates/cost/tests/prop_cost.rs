@@ -8,11 +8,11 @@
 //! can bend prices but never break monotonicity.
 
 use proptest::prelude::*;
-use rannc_cost::{AnalyticalCost, CalibratedCost, Calibration, CostModel};
+use rannc_cost::{CalibratedCost, Calibration, CostModel};
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::ClusterSpec;
 use rannc_models::{bert_graph, BertConfig};
-use rannc_profile::ProfilerOptions;
+use rannc_profile::{Profiler, ProfilerOptions};
 
 fn graph() -> TaskGraph {
     bert_graph(&BertConfig::tiny())
@@ -50,7 +50,7 @@ fn calibrations() -> impl Strategy<Value = Calibration> {
 fn for_both_models(cal: &Calibration, law: impl Fn(&dyn CostModel, &ClusterSpec, &str)) {
     let g = graph();
     let cluster = ClusterSpec::v100_cluster(2);
-    let analytical = AnalyticalCost::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+    let analytical = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
     law(&analytical, &cluster, "analytical");
     let calibrated = CalibratedCost::new(
         &g,
@@ -225,9 +225,8 @@ proptest! {
         let (tlo, thi) = (t1.min(t2), t1.max(t2));
         let g = graph();
         let cluster = ClusterSpec::v100_cluster(2);
-        let m = AnalyticalCost::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
-        let set = whole_set(m.graph());
-        let p = m.profiler();
+        let p = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+        let set = whole_set(p.graph());
 
         let raw_lo = p.profile_set_tp(&set, mhi, 1, false, tlo);
         let raw_hi = p.profile_set_tp(&set, mhi, 1, false, thi);
@@ -237,7 +236,7 @@ proptest! {
             raw_lo.fwd_time, raw_lo.bwd_time, raw_hi.fwd_time, raw_hi.bwd_time
         );
 
-        let full = m.stage_cost_tp(&set, mhi, 1, false, thi, &cluster);
+        let full = p.stage_cost_tp(&set, mhi, 1, false, thi, &cluster);
         let dfwd = full.fwd_time - raw_hi.fwd_time;
         let dbwd = full.bwd_time - raw_hi.bwd_time;
         prop_assert!(

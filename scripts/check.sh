@@ -39,6 +39,17 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
+echo "==> one-path gate (one DP, one search, no cost-model wrapper)"
+# rannc-core exports one DP entry point (form_stage_dp) and one search
+# entry point (form_stage_with); the slow references live in test
+# support (crates/core/tests/support/reference.rs), and the analytical
+# cost model is the Profiler itself
+if grep -rnE --include='*.rs' "form_stage_dp_[a-z]|form_stage_seq|shared_cache|AnalyticalCost" \
+    crates/*/src; then
+    echo "FAILED: duplicate DP/search entry point or cost-model wrapper in crates/*/src"
+    exit 1
+fi
+
 echo "==> block-phase adjacency gate (CSR neighbour tables only)"
 # the block phase reads neighbours from ConvexChecker's CSR tables; the
 # allocating per-task graph queries (a fresh sorted Vec per call) must
@@ -94,9 +105,9 @@ if echo "$TP1_PLAN" | grep -q "tensor"; then
 fi
 echo "    tensor-parallel smoke clean: T>1 chosen, deep verify passed, 2D unchanged"
 
-echo "==> planner-bench smoke (engine vs sequential baseline, self-checked)"
+echo "==> planner-bench smoke (engine vs its one-thread baseline, self-checked)"
 # --check exits nonzero on malformed JSON, a plan that differs from the
-# sequential baseline, or a zero cache hit rate.
+# one-thread baseline, or a zero cache hit rate.
 ./target/release/planner_bench --quick --threads 4 --check \
     --out BENCH_partition_quick.json \
     || { echo "planner_bench smoke FAILED"; exit 1; }

@@ -139,7 +139,7 @@ fn all_model_builder_graphs_verify_clean() {
 #[test]
 fn more_devices_never_hurt_the_objective() {
     // the DP objective with a larger device budget can only improve
-    use rannc::core::{form_stage_dp, DpParams};
+    use rannc::core::{form_stage_dp, DpArena, DpParams, RangeTable};
     let g = mlp_graph(&MlpConfig::deep(128, 128, 12, 10));
     let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
     let atomic = atomic_partition(&g);
@@ -169,6 +169,10 @@ fn more_devices_never_hurt_the_objective() {
                 tp: 1,
             },
             LinkSpec::nvlink(),
+            &RangeTable::new(),
+            None,
+            None,
+            &mut DpArena::new(),
         )
         .expect("feasible");
         assert!(
