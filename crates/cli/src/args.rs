@@ -1,6 +1,8 @@
 //! Hand-rolled argument parsing (no external CLI crates in the
 //! offline dependency set).
 
+use std::num::NonZeroUsize;
+
 /// Usage text shown on `--help` or a parse error.
 pub const USAGE: &str = "\
 rannc-plan — automatic model partitioning (RaNNC reproduction)
@@ -102,8 +104,8 @@ CHURN OPTIONS (churn subcommand):
                         policy to simulate (default: all, side by side)
   --horizon <N>         iterations the adaptive policy amortizes a
                         replan over (default 2000)
-  --iterations, --detect-timeout, --restore-cost, --replan-cost and
-  --seed apply as for the faults subcommand
+  --iterations, --checkpoint-every, --detect-timeout, --restore-cost,
+  --replan-cost and --seed apply as for the faults subcommand
 
 VERIFY OPTIONS (verify subcommand):
   --deep              also run the dataflow certification engine
@@ -279,7 +281,7 @@ pub struct Args {
     pub link_degrade: Option<f64>,
     pub comm_error: Option<f64>,
     pub iterations: usize,
-    pub checkpoint_every: usize,
+    pub checkpoint_every: NonZeroUsize,
     pub detect_timeout: f64,
     pub restore_cost: f64,
     pub replan_cost: f64,
@@ -339,7 +341,7 @@ impl Default for Args {
             link_degrade: None,
             comm_error: None,
             iterations: 100_000,
-            checkpoint_every: 1000,
+            checkpoint_every: NonZeroUsize::new(1000).expect("nonzero"),
             detect_timeout: 5.0,
             restore_cost: 2.0,
             replan_cost: 15.0,
@@ -457,7 +459,10 @@ impl Args {
                     a.comm_error = Some(p);
                 }
                 "--iterations" => a.iterations = num(&flag, &mut it)?,
-                "--checkpoint-every" => a.checkpoint_every = num(&flag, &mut it)?,
+                "--checkpoint-every" => {
+                    a.checkpoint_every = NonZeroUsize::new(num(&flag, &mut it)?)
+                        .ok_or("--checkpoint-every must be positive")?
+                }
                 "--detect-timeout" => a.detect_timeout = float(&flag, &mut it)?,
                 "--restore-cost" => a.restore_cost = float(&flag, &mut it)?,
                 "--replan-cost" => a.replan_cost = float(&flag, &mut it)?,
@@ -503,13 +508,10 @@ impl Args {
         if a.tp_max == 0 {
             return Err("--tp-max must be positive".into());
         }
-        if a.command == Command::Faults && (a.iterations == 0 || a.checkpoint_every == 0) {
-            return Err("--iterations and --checkpoint-every must be positive".into());
+        if matches!(a.command, Command::Faults | Command::Churn) && a.iterations == 0 {
+            return Err("--iterations must be positive".into());
         }
         if a.command == Command::Churn {
-            if a.iterations == 0 {
-                return Err("--iterations must be positive".into());
-            }
             if a.events == 0 && a.churn_trace.is_none() {
                 return Err("churn needs --events > 0 or a --churn-trace file".into());
             }
@@ -616,7 +618,7 @@ mod tests {
         assert_eq!(a.link_degrade, Some(0.5));
         assert_eq!(a.comm_error, Some(0.1));
         assert_eq!(a.iterations, 200_000);
-        assert_eq!(a.checkpoint_every, 500);
+        assert_eq!(a.checkpoint_every.get(), 500);
         assert_eq!(a.seed, 7);
     }
 
@@ -651,6 +653,7 @@ mod tests {
         assert!(parse("faults --model mlp --link-degrade 0").is_err());
         assert!(parse("faults --model mlp --comm-error 1.0").is_err());
         assert!(parse("faults --model mlp --iterations 0").is_err());
+        assert!(parse("faults --model mlp --checkpoint-every 0").is_err());
     }
 
     #[test]
@@ -780,6 +783,7 @@ mod tests {
         assert!(parse("churn --model bert --mean-gap 0").is_err());
         assert!(parse("churn --model bert --horizon 0").is_err());
         assert!(parse("churn --model bert --iterations 0").is_err());
+        assert!(parse("churn --model bert --checkpoint-every 0").is_err());
         // zero generated events is fine when a trace file supplies them
         assert!(parse("churn --model bert --events 0 --churn-trace /tmp/t.json").is_ok());
     }

@@ -12,7 +12,8 @@
 //! partitioned graph (`--dot FILE`).
 //!
 //! The `faults` subcommand partitions the model and then runs a
-//! fault-injected training campaign under both recovery policies:
+//! fault-injected training campaign on the churn simulator under the
+//! degrade-in-place and replan-always policies:
 //!
 //! ```sh
 //! rannc-plan faults --model mlp --hidden 64 --layers 8 --nodes 2 \
@@ -34,7 +35,7 @@ mod args;
 use args::{Args, ChurnPolicyArg, Command, CostModelArg, ModelKind};
 use rannc::faults::ClusterEventTrace;
 use rannc::pipeline::viz::render_timeline;
-use rannc::pipeline::{ChurnPolicy, ChurnReport, ChurnSimConfig, FaultSimReport};
+use rannc::pipeline::{ChurnPolicy, ChurnReport, ChurnSimConfig};
 use rannc::prelude::*;
 
 fn main() {
@@ -415,8 +416,8 @@ fn run_verify(
     }
 }
 
-/// The `faults` subcommand: simulate the same campaign under both
-/// recovery policies and print a side-by-side report.
+/// The `faults` subcommand: turn the fault flags into a churn campaign
+/// and run it under degrade-in-place and replan-always, side by side.
 fn run_faults(
     args: &Args,
     rannc: &Rannc,
@@ -440,6 +441,13 @@ fn run_faults(
     if faults.is_empty() {
         eprintln!("note: no fault events given; simulating a fault-free campaign");
     }
+    let (start, trace) = match faults.to_churn_campaign(cluster) {
+        Ok(campaign) => campaign,
+        Err(e) => {
+            eprintln!("invalid fault plan: {e}");
+            std::process::exit(1);
+        }
+    };
 
     println!(
         "fault campaign: {} iterations, checkpoint every {}, {} scripted event(s), seed {}",
@@ -448,63 +456,46 @@ fn run_faults(
         faults.events().len(),
         args.seed
     );
-    let mut goodputs = Vec::new();
-    for policy in [RecoveryPolicy::Degrade, RecoveryPolicy::Replan] {
-        let cfg = FaultSimConfig {
-            iterations: args.iterations,
-            checkpoint_every: args.checkpoint_every,
-            detect_timeout: args.detect_timeout,
-            restore_cost: args.restore_cost,
-            replan_cost: args.replan_cost,
-            policy,
-        };
-        let report =
-            match rannc::pipeline::simulate_faulted(rannc, plan, cost, cluster, &faults, &cfg) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("fault simulation failed: {e}");
-                    std::process::exit(1);
-                }
-            };
-        print_report(policy, &report);
-        goodputs.push((policy, report.goodput));
-    }
-    if let [(_, degrade), (_, replan)] = goodputs[..] {
-        if replan > degrade && degrade > 0.0 {
-            println!(
-                "\nelastic replanning sustains {:.2}x the goodput of degrade-only recovery",
-                replan / degrade
-            );
-        }
+    let [degrade, replan] = [ChurnPolicy::DegradeInPlace, ChurnPolicy::ReplanAlways]
+        .map(|policy| run_campaign(args, rannc, plan, cost, &start, &trace, policy));
+    if replan > degrade && degrade > 0.0 {
+        println!(
+            "\nelastic replanning sustains {:.2}x the goodput of degrade-only recovery",
+            replan / degrade
+        );
     }
 }
 
-fn print_report(policy: RecoveryPolicy, r: &FaultSimReport) {
-    println!(
-        "\npolicy {policy:?}: {} iterations in {:.1} s | goodput {:.1} samples/s | \
-         {} recoveries | MTTR {:.1} s{}",
-        r.completed_iterations,
-        r.wall_time,
-        r.goodput,
-        r.recoveries.len(),
-        r.mttr(),
-        if r.halted { " | HALTED" } else { "" },
-    );
-    for rec in &r.recoveries {
-        println!(
-            "  rank {} died at iteration {}: lost {} iteration(s), {:.1} s downtime, {}",
-            rec.rank,
-            rec.at_iter,
-            rec.lost_iters,
-            rec.downtime,
-            if rec.replanned {
-                "re-partitioned for survivors".to_string()
-            } else if rec.new_iteration_time.is_finite() {
-                "kept plan (degraded)".to_string()
-            } else {
-                "unrecoverable".to_string()
-            },
-        );
+/// Simulate one campaign with the timing flags, print its report and
+/// return its goodput.
+fn run_campaign(
+    args: &Args,
+    rannc: &Rannc,
+    plan: &rannc::core::PartitionPlan,
+    cost: &dyn CostModel,
+    cluster: &ClusterSpec,
+    trace: &ClusterEventTrace,
+    policy: ChurnPolicy,
+) -> f64 {
+    let cfg = ChurnSimConfig {
+        iterations: args.iterations,
+        checkpoint_every: args.checkpoint_every,
+        detect_timeout: args.detect_timeout,
+        restore_cost: args.restore_cost,
+        replan_cost: args.replan_cost,
+        policy,
+        horizon: args.horizon,
+        ..ChurnSimConfig::default()
+    };
+    match rannc::pipeline::simulate_churn(rannc, plan, cost, cluster, trace, &cfg) {
+        Ok(report) => {
+            print_churn_report(policy, &report);
+            report.goodput
+        }
+        Err(e) => {
+            eprintln!("campaign simulation failed: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -542,8 +533,9 @@ fn run_churn(
         eprintln!("saved churn trace to {path}");
     }
     println!(
-        "churn campaign: {} iterations, {} event(s), seed {}",
+        "churn campaign: {} iterations, checkpoint every {}, {} event(s), seed {}",
         args.iterations,
+        args.checkpoint_every,
         trace.events().len(),
         trace.seed()
     );
@@ -560,28 +552,13 @@ fn run_churn(
             ChurnPolicy::Adaptive,
         ],
     };
-    let mut scored: Vec<(ChurnPolicy, f64)> = Vec::new();
-    for policy in policies {
-        let cfg = ChurnSimConfig {
-            iterations: args.iterations,
-            detect_timeout: args.detect_timeout,
-            restore_cost: args.restore_cost,
-            replan_cost: args.replan_cost,
-            policy,
-            horizon: args.horizon,
-            ..ChurnSimConfig::default()
-        };
-        let report = match rannc::pipeline::simulate_churn(rannc, plan, cost, cluster, &trace, &cfg)
-        {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("churn simulation failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        print_churn_report(policy, &report);
-        scored.push((policy, report.goodput));
-    }
+    let scored: Vec<(ChurnPolicy, f64)> = policies
+        .into_iter()
+        .map(|policy| {
+            let goodput = run_campaign(args, rannc, plan, cost, cluster, &trace, policy);
+            (policy, goodput)
+        })
+        .collect();
     if scored.len() > 1 {
         let best = scored
             .iter()
@@ -607,7 +584,7 @@ fn print_churn_report(policy: ChurnPolicy, r: &ChurnReport) {
     );
     for d in &r.decisions {
         println!(
-            "  iter {:>7} {:<8} -> {:<8} {:.1} s downtime, {:.2} ms/iter{}",
+            "  iter {:>7} {:<8} -> {:<8} {:.1} s downtime, {:.2} ms/iter{}{}",
             d.at_iter,
             d.event,
             d.action.tag(),
@@ -619,6 +596,11 @@ fn print_churn_report(policy: ChurnPolicy, r: &ChurnReport) {
             },
             if d.moved_bytes > 0 {
                 format!(", moved {:.1} MiB", d.moved_bytes as f64 / (1 << 20) as f64)
+            } else {
+                String::new()
+            },
+            if d.lost_iters > 0 {
+                format!(", redid {} iter(s)", d.lost_iters)
             } else {
                 String::new()
             },

@@ -6,8 +6,10 @@
 //! driving any probabilistic draws (transient communication errors). The
 //! same plan is consumed by two very different executors:
 //!
-//! * `rannc-pipeline`'s analytical simulator, which folds the events into
-//!   its cost model to predict goodput and MTTR under failures, and
+//! * `rannc-pipeline`'s churn campaign simulator, after
+//!   [`FaultPlan::to_churn_campaign`] turns its latency faults into a
+//!   starting cluster and its device failures into `Leave` events, to
+//!   predict goodput and MTTR under failures, and
 //! * `rannc-train`'s threaded trainer, which physically kills stage
 //!   threads and exercises detection, checkpoint restore, and resume.
 //!
@@ -16,6 +18,7 @@
 //! exactly reproducible: same seed, same failures, same recovery — the
 //! property the bit-identical recovery tests rely on.
 
+use rannc_hw::{ClusterSpec, SpecError};
 use serde::{Deserialize, Serialize};
 
 pub mod churn;
@@ -177,6 +180,56 @@ impl FaultPlan {
         1.0 - survive
     }
 
+    /// The plan as a churn campaign on `cluster`: the starting cluster
+    /// and the event trace the churn simulator plays against it. Ranks
+    /// are global device ranks.
+    ///
+    /// * `Straggler{rank, slowdown}` leaves that device at `1/slowdown`
+    ///   of its compute efficiency;
+    /// * `LinkDegrade{factor}` and `TransientCommError{prob}` scale every
+    ///   link's bandwidth (intra, inter and overrides) by
+    ///   `factor·(1−prob)`, the expected-retry stretch;
+    /// * `DeviceFail{rank, at_iter}` becomes a `Leave` at `at_iter`, in
+    ///   [`device_failures`](Self::device_failures) order.
+    ///
+    /// Returns [`SpecError::DeviceOutsideCluster`] for a rank beyond
+    /// `cluster`'s shape.
+    pub fn to_churn_campaign(
+        &self,
+        cluster: &ClusterSpec,
+    ) -> Result<(ClusterSpec, ClusterEventTrace), SpecError> {
+        let device = |global: usize| {
+            let rank = cluster.rank(global);
+            if global < cluster.total_devices() {
+                Ok(rank)
+            } else {
+                Err(SpecError::DeviceOutsideCluster { rank })
+            }
+        };
+        let mut start = cluster.clone();
+        for event in &self.events {
+            if let FaultEvent::Straggler { rank, slowdown } = *event {
+                start = start.with_degraded_device(device(rank)?, 1.0 / slowdown);
+            }
+        }
+        let link_scale = self.link_factor() * (1.0 - self.comm_error_prob());
+        start.node.intra_link.bandwidth *= link_scale;
+        start.inter_link.bandwidth *= link_scale;
+        for o in &mut start.link_overrides {
+            o.link.bandwidth *= link_scale;
+        }
+        let mut trace = ClusterEventTrace::new(self.seed);
+        for (rank, at_iter) in self.device_failures() {
+            trace.push(
+                at_iter,
+                ClusterEvent::Leave {
+                    rank: device(rank)?,
+                },
+            );
+        }
+        Ok((start, trace))
+    }
+
     /// Seeded stream for this plan's probabilistic draws. Consumers must
     /// create it once per run so identical runs see identical draws.
     pub fn rng(&self) -> FaultRng {
@@ -286,6 +339,90 @@ mod tests {
     #[should_panic(expected = "factor")]
     fn rejects_zero_link_factor() {
         FaultPlan::new(0).push(FaultEvent::LinkDegrade { factor: 0.0 });
+    }
+
+    #[test]
+    fn churn_campaign_maps_each_fault_kind() {
+        use rannc_hw::{DeviceRank, LinkSpec};
+        let cluster = ClusterSpec::v100_cluster(2).with_link_override(0, 1, LinkSpec::nvlink());
+        let plan = FaultPlan::new(9)
+            .with_event(FaultEvent::DeviceFail {
+                rank: 12,
+                at_iter: 700,
+            })
+            .with_event(FaultEvent::Straggler {
+                rank: 3,
+                slowdown: 2.0,
+            })
+            .with_event(FaultEvent::DeviceFail {
+                rank: 5,
+                at_iter: 700,
+            })
+            .with_event(FaultEvent::DeviceFail {
+                rank: 0,
+                at_iter: 40,
+            })
+            .with_event(FaultEvent::LinkDegrade { factor: 0.5 })
+            .with_event(FaultEvent::TransientCommError { prob: 0.2 });
+        let (start, trace) = plan.to_churn_campaign(&cluster).unwrap();
+
+        // the straggler is a degraded device of the starting cluster
+        let slow = DeviceRank { node: 0, local: 3 };
+        assert_eq!(start.device_overrides.len(), 1);
+        assert_eq!(
+            start.device_at(slow).compute_efficiency,
+            cluster.device.compute_efficiency / 2.0
+        );
+        // every link keeps factor·(1−p) = 0.4 of its bandwidth
+        let kept = 0.5 * (1.0 - 0.2);
+        assert_eq!(
+            start.node.intra_link.bandwidth,
+            cluster.node.intra_link.bandwidth * kept
+        );
+        assert_eq!(
+            start.inter_link.bandwidth,
+            cluster.inter_link.bandwidth * kept
+        );
+        assert_eq!(
+            start.node_link(0, 1).bandwidth,
+            cluster.node_link(0, 1).bandwidth * kept
+        );
+        assert_eq!(start.lost_devices, cluster.lost_devices);
+
+        // failures become leaves ordered by (iteration, rank)
+        assert_eq!(trace.seed(), 9);
+        let leaves: Vec<(usize, ClusterEvent)> = trace
+            .events()
+            .iter()
+            .map(|e| (e.at_iter, e.event))
+            .collect();
+        let leave = |node, local| ClusterEvent::Leave {
+            rank: DeviceRank { node, local },
+        };
+        assert_eq!(
+            leaves,
+            vec![(40, leave(0, 0)), (700, leave(0, 5)), (700, leave(1, 4))]
+        );
+
+        // a fault-free plan is the cluster itself and an empty trace
+        let (same, quiet) = FaultPlan::new(1).to_churn_campaign(&cluster).unwrap();
+        assert_eq!(same, cluster);
+        assert!(quiet.is_empty());
+
+        // ranks beyond the cluster are rejected, not silently dropped
+        let outside = FaultPlan::new(0).with_event(FaultEvent::Straggler {
+            rank: 16,
+            slowdown: 2.0,
+        });
+        assert!(matches!(
+            outside.to_churn_campaign(&cluster),
+            Err(SpecError::DeviceOutsideCluster { .. })
+        ));
+        let outside = FaultPlan::new(0).with_event(FaultEvent::DeviceFail {
+            rank: 16,
+            at_iter: 1,
+        });
+        assert!(outside.to_churn_campaign(&cluster).is_err());
     }
 
     #[test]

@@ -1,14 +1,21 @@
-//! Churn campaigns: long training runs under continuous cluster change.
+//! Campaigns: long training runs under cluster change and failure.
 //!
-//! Where [`crate::fault`] scripts *failures* (devices die, the run
-//! recovers), this module scripts the *life of the cluster*: a seeded
-//! [`ClusterEventTrace`] of `leave` / `recover` / `degrade` / `join`
-//! events plays against a running plan, and a **policy** decides, event
-//! by event, whether to pay for a replan now, ride the change out, or
-//! permanently degrade in place. The campaign scores each policy on
+//! A seeded [`ClusterEventTrace`] of `leave` / `recover` / `degrade` /
+//! `join` events plays against a running plan, and a **policy** decides,
+//! event by event, whether to pay for a replan now, ride the change out,
+//! or permanently degrade in place. The campaign scores each policy on
 //! goodput (useful samples per wall second) and MTTR, and emits a
 //! deterministic decision log — the same trace and policy always
 //! produce the same decisions, so campaigns reproduce from the seed.
+//!
+//! This is the one campaign engine: a fault script
+//! ([`rannc_faults::FaultPlan`]) runs here too, once
+//! [`to_churn_campaign`](rannc_faults::FaultPlan::to_churn_campaign) has
+//! turned its latency faults into the starting cluster and its device
+//! failures into `leave` events. Every policy shares one loss model: a
+//! `leave` stops training for detection and restore, and then
+//! re-executes the iterations since the last checkpoint at the
+//! post-decision iteration time.
 //!
 //! Pricing is placement-aware: when the evolved cluster is
 //! heterogeneous, every stage's simulated time is stretched by the
@@ -22,6 +29,7 @@ use rannc_core::{PartitionPlan, Rannc};
 use rannc_cost::CostModel;
 use rannc_faults::{ClusterEvent, ClusterEventTrace};
 use rannc_hw::ClusterSpec;
+use std::num::NonZeroUsize;
 
 /// How the campaign reacts to each cluster event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +82,10 @@ impl ChurnAction {
 pub struct ChurnSimConfig {
     /// Iterations the campaign must complete.
     pub iterations: usize,
+    /// A checkpoint is taken every this many iterations (iteration 0
+    /// always is); a device loss re-executes the iterations since the
+    /// last one.
+    pub checkpoint_every: NonZeroUsize,
     /// Wall time from a device leaving to the loss being detected, s.
     pub detect_timeout: f64,
     /// Wall time to restore training state onto the survivors, s.
@@ -94,6 +106,7 @@ impl Default for ChurnSimConfig {
     fn default() -> Self {
         ChurnSimConfig {
             iterations: 10_000,
+            checkpoint_every: NonZeroUsize::new(1000).expect("nonzero"),
             detect_timeout: 5.0,
             restore_cost: 2.0,
             replan_cost: 15.0,
@@ -113,7 +126,8 @@ pub struct ChurnDecision {
     pub event: &'static str,
     /// What the policy did.
     pub action: ChurnAction,
-    /// Wall-clock seconds of training stopped by the decision.
+    /// Wall-clock seconds of training stopped by the decision, including
+    /// the re-execution of `lost_iters`.
     pub downtime: f64,
     /// Per-iteration wall time after the decision, s.
     pub iteration_time: f64,
@@ -121,6 +135,9 @@ pub struct ChurnDecision {
     pub replan_attempts: usize,
     /// State bytes migrated to adopt a new plan (0 when no replan).
     pub moved_bytes: usize,
+    /// Iterations since the last checkpoint that a device loss discarded
+    /// (0 for every other event).
+    pub lost_iters: usize,
 }
 
 /// What a churn campaign reports.
@@ -195,21 +212,34 @@ fn priced_iteration_time(
         .iteration_time)
 }
 
+/// One way to carry on after an event: the plan to run next and what
+/// switching to it costs.
+struct Next {
+    plan: PartitionPlan,
+    action: ChurnAction,
+    /// Priced per-iteration wall time of `plan`, s.
+    iteration_time: f64,
+    /// Downtime of adopting `plan` on top of the event's own loss, s.
+    downtime: f64,
+    /// Replan-ladder attempts consumed.
+    attempts: usize,
+    /// State bytes migrated to adopt `plan`.
+    moved_bytes: usize,
+}
+
 /// The ride option: keep `plan` on the evolved cluster, shedding
-/// pipeline replicas while it does not fit. Returns the (possibly shed)
-/// plan, its priced iteration time, and what happened — or `None` when
-/// even one replica no longer fits.
+/// pipeline replicas while it does not fit — or `None` when even one
+/// replica no longer fits.
 ///
 /// `planned_replicas` is the replica count the plan's micro-batches were
 /// sized for: running the same global batch on fewer replicas stretches
-/// the iteration by `planned / current` (the physics the fault
-/// simulator's `R / (R − 1)` shed factor encodes).
+/// the iteration by `planned / current`.
 fn ride_option(
     plan: &PartitionPlan,
     planned_replicas: usize,
     cost: &dyn CostModel,
     cluster: &ClusterSpec,
-) -> Option<(PartitionPlan, f64, ChurnAction)> {
+) -> Option<Next> {
     let mut plan = plan.clone();
     let mut action = ChurnAction::Ride;
     while cluster.healthy_devices() < plan.total_devices() {
@@ -224,33 +254,38 @@ fn ride_option(
     if plan.replica_factor < planned_replicas {
         it *= planned_replicas as f64 / plan.replica_factor as f64;
     }
-    Some((plan, it, action))
+    Some(Next {
+        plan,
+        action,
+        iteration_time: it,
+        downtime: 0.0,
+        attempts: 0,
+        moved_bytes: 0,
+    })
 }
 
-/// The replan option: run the backoff ladder on the evolved cluster.
-/// Returns the verified plan, its priced iteration time, the downtime of
-/// adopting it, and the ladder/migration accounting.
-#[allow(clippy::type_complexity)]
+/// The replan option: run the backoff ladder on the evolved cluster and
+/// price the verified plan and its migration.
 fn replan_option(
     rannc: &Rannc,
     plan: &PartitionPlan,
     cost: &dyn CostModel,
     cluster: &ClusterSpec,
     cfg: &ChurnSimConfig,
-) -> Option<(PartitionPlan, f64, f64, usize, usize)> {
+) -> Option<Next> {
     let out = rannc
         .replan_with_backoff(cost.graph(), plan, cluster, cfg.replan_retries)
         .ok()?;
     let view = cluster.planning_view();
     let it = priced_iteration_time(&out.plan, cost, &view).ok()?;
-    let downtime = cfg.replan_cost + out.migration.downtime_steps as f64 * it;
-    Some((
-        out.plan,
-        it,
-        downtime,
-        out.attempts,
-        out.migration.total_bytes(),
-    ))
+    Some(Next {
+        plan: out.plan,
+        action: ChurnAction::Replan,
+        iteration_time: it,
+        downtime: cfg.replan_cost + out.migration.downtime_steps as f64 * it,
+        attempts: out.attempts,
+        moved_bytes: out.migration.total_bytes(),
+    })
 }
 
 /// Run a churn campaign: `cfg.iterations` iterations of `plan` on
@@ -298,182 +333,122 @@ pub fn simulate_churn(
             .arg_i("event", decisions.len() as i64);
         rannc_obs::metrics::counter("churn.events").inc();
 
+        // a loss stops training until detected and restored, and rolls
+        // progress back to the last checkpoint; capacity gains and
+        // throttles are observed without stopping the run
+        let (base_downtime, lost_iters) = if matches!(te.event, ClusterEvent::Leave { .. }) {
+            (
+                cfg.detect_timeout + cfg.restore_cost,
+                at % cfg.checkpoint_every,
+            )
+        } else {
+            (0.0, 0)
+        };
+        let halt = |downtime: f64, replan_attempts: usize| ChurnDecision {
+            at_iter: at,
+            event: kind,
+            action: ChurnAction::Halt,
+            downtime,
+            iteration_time: f64::INFINITY,
+            replan_attempts,
+            moved_bytes: 0,
+            lost_iters,
+        };
+
         cluster = match te.event.apply(&cluster) {
             Ok(c) => c,
             Err(_) => {
                 // e.g. the last healthy device left: nothing to run on
-                decisions.push(ChurnDecision {
-                    at_iter: at,
-                    event: kind,
-                    action: ChurnAction::Halt,
-                    downtime: cfg.detect_timeout,
-                    iteration_time: f64::INFINITY,
-                    replan_attempts: 0,
-                    moved_bytes: 0,
-                });
+                decisions.push(halt(cfg.detect_timeout, 0));
                 wall += cfg.detect_timeout;
                 halted = true;
                 break;
             }
         };
 
-        // a loss stops training until detected and restored; capacity
-        // gains and throttles are observed without stopping the run
-        let is_loss = matches!(te.event, ClusterEvent::Leave { .. });
-        let base_downtime = if is_loss {
-            cfg.detect_timeout + cfg.restore_cost
-        } else {
-            0.0
-        };
-
-        let decision = match cfg.policy {
-            ChurnPolicy::ReplanAlways => {
-                match replan_option(rannc, &plan, cost, &cluster, cfg) {
-                    Some((new_plan, it, replan_dt, attempts, moved)) => {
-                        plan = new_plan;
-                        planned_replicas = plan.replica_factor;
-                        iter_time = it;
-                        replans += 1;
-                        ChurnDecision {
-                            at_iter: at,
-                            event: kind,
-                            action: ChurnAction::Replan,
-                            downtime: base_downtime + replan_dt,
-                            iteration_time: it,
-                            replan_attempts: attempts,
-                            moved_bytes: moved,
-                        }
-                    }
-                    // the ladder failed: degrade in place rather than die
-                    None => match ride_option(&plan, planned_replicas, cost, &cluster) {
-                        Some((kept, it, action)) => {
-                            plan = kept;
-                            iter_time = it;
-                            ChurnDecision {
-                                at_iter: at,
-                                event: kind,
-                                action,
-                                downtime: base_downtime,
-                                iteration_time: it,
-                                replan_attempts: cfg.replan_retries + 1,
-                                moved_bytes: 0,
-                            }
-                        }
-                        None => ChurnDecision {
-                            at_iter: at,
-                            event: kind,
-                            action: ChurnAction::Halt,
-                            downtime: base_downtime,
-                            iteration_time: f64::INFINITY,
-                            replan_attempts: cfg.replan_retries + 1,
-                            moved_bytes: 0,
-                        },
-                    },
+        // the chosen way on (None: the campaign halts), and the ladder
+        // attempts a halt spent
+        let (next, halt_attempts) = match cfg.policy {
+            ChurnPolicy::ReplanAlways => match replan_option(rannc, &plan, cost, &cluster, cfg) {
+                Some(replan) => (Some(replan), 0),
+                // the ladder failed: degrade in place rather than die
+                None => {
+                    let spent = cfg.replan_retries + 1;
+                    let ride = ride_option(&plan, planned_replicas, cost, &cluster);
+                    (
+                        ride.map(|r| Next {
+                            attempts: spent,
+                            ..r
+                        }),
+                        spent,
+                    )
                 }
-            }
+            },
             ChurnPolicy::RideItOut | ChurnPolicy::DegradeInPlace => {
                 let mut candidate = plan.clone();
                 // RideItOut grows back toward the planned replica count
                 // as soon as recovered capacity allows; DegradeInPlace
                 // keeps sheds permanent
-                if cfg.policy == ChurnPolicy::RideItOut {
+                let restores = cfg.policy == ChurnPolicy::RideItOut;
+                if restores {
                     candidate.replica_factor = planned_replicas;
                 }
-                match ride_option(&candidate, planned_replicas, cost, &cluster) {
-                    Some((kept, it, mut action)) => {
-                        if cfg.policy == ChurnPolicy::RideItOut
-                            && kept.replica_factor > plan.replica_factor
-                        {
-                            action = ChurnAction::Restore;
+                let ride =
+                    ride_option(&candidate, planned_replicas, cost, &cluster).map(|mut r| {
+                        if restores && r.plan.replica_factor > plan.replica_factor {
+                            r.action = ChurnAction::Restore;
                         }
-                        plan = kept;
-                        iter_time = it;
-                        ChurnDecision {
-                            at_iter: at,
-                            event: kind,
-                            action,
-                            downtime: base_downtime,
-                            iteration_time: it,
-                            replan_attempts: 0,
-                            moved_bytes: 0,
-                        }
-                    }
-                    None => ChurnDecision {
-                        at_iter: at,
-                        event: kind,
-                        action: ChurnAction::Halt,
-                        downtime: base_downtime,
-                        iteration_time: f64::INFINITY,
-                        replan_attempts: 0,
-                        moved_bytes: 0,
-                    },
-                }
+                        r
+                    });
+                (ride, 0)
             }
             ChurnPolicy::Adaptive => {
-                let ride = ride_option(&plan, planned_replicas, cost, &cluster);
+                // both options are always priced; the cheaper one over
+                // the horizon wins
                 let horizon = cfg.horizon.max(1) as f64;
-                // only pay for a replan evaluation when riding is
-                // impossible or the event plausibly changed the optimum
+                let ride = ride_option(&plan, planned_replicas, cost, &cluster);
                 let replan = replan_option(rannc, &plan, cost, &cluster, cfg);
                 let ride_total = ride
                     .as_ref()
-                    .map(|(_, it, _)| horizon * it)
-                    .unwrap_or(f64::INFINITY);
+                    .map_or(f64::INFINITY, |r| horizon * r.iteration_time);
                 let replan_total = replan
                     .as_ref()
-                    .map(|(_, it, dt, _, _)| dt + horizon * it)
-                    .unwrap_or(f64::INFINITY);
+                    .map_or(f64::INFINITY, |r| r.downtime + horizon * r.iteration_time);
                 if replan_total < ride_total {
-                    let (new_plan, it, replan_dt, attempts, moved) = replan.unwrap();
-                    plan = new_plan;
-                    planned_replicas = plan.replica_factor;
-                    iter_time = it;
-                    replans += 1;
-                    ChurnDecision {
-                        at_iter: at,
-                        event: kind,
-                        action: ChurnAction::Replan,
-                        downtime: base_downtime + replan_dt,
-                        iteration_time: it,
-                        replan_attempts: attempts,
-                        moved_bytes: moved,
-                    }
-                } else if let Some((kept, it, action)) = ride {
-                    plan = kept;
-                    iter_time = it;
-                    ChurnDecision {
-                        at_iter: at,
-                        event: kind,
-                        action,
-                        downtime: base_downtime,
-                        iteration_time: it,
-                        replan_attempts: 0,
-                        moved_bytes: 0,
-                    }
+                    (replan, 0)
                 } else {
-                    ChurnDecision {
-                        at_iter: at,
-                        event: kind,
-                        action: ChurnAction::Halt,
-                        downtime: base_downtime,
-                        iteration_time: f64::INFINITY,
-                        replan_attempts: 0,
-                        moved_bytes: 0,
-                    }
+                    (ride, 0)
                 }
             }
         };
 
-        wall += decision.downtime;
-        if decision.action == ChurnAction::Replan {
-            rannc_obs::metrics::counter("churn.replans").inc();
-        }
-        let is_halt = decision.action == ChurnAction::Halt;
-        decisions.push(decision);
-        if is_halt {
+        let Some(next) = next else {
+            decisions.push(halt(base_downtime, halt_attempts));
+            wall += base_downtime;
             halted = true;
             break;
+        };
+        // lost iterations are re-executed at the new speed: wall time,
+        // not fresh progress
+        let downtime = base_downtime + next.downtime + lost_iters as f64 * next.iteration_time;
+        if next.action == ChurnAction::Replan {
+            planned_replicas = next.plan.replica_factor;
+            replans += 1;
+            rannc_obs::metrics::counter("churn.replans").inc();
         }
+        decisions.push(ChurnDecision {
+            at_iter: at,
+            event: kind,
+            action: next.action,
+            downtime,
+            iteration_time: next.iteration_time,
+            replan_attempts: next.attempts,
+            moved_bytes: next.moved_bytes,
+            lost_iters,
+        });
+        wall += downtime;
+        plan = next.plan;
+        iter_time = next.iteration_time;
     }
 
     if !halted {
@@ -516,6 +491,7 @@ fn publish_churn_metrics(report: &ChurnReport) {
 mod tests {
     use super::*;
     use rannc_core::PartitionConfig;
+    use rannc_faults::{FaultEvent, FaultPlan};
     use rannc_hw::{DeviceRank, DeviceSpec};
     use rannc_models::{mlp_graph, MlpConfig};
     use rannc_profile::{Profiler, ProfilerOptions};
@@ -544,6 +520,30 @@ mod tests {
         DeviceRank { node, local }
     }
 
+    /// Plan on a clean `nodes`-node cluster, then run `faults` as a
+    /// 200k-iteration campaign with a checkpoint every 1000 iterations.
+    /// The campaign is long so that recovery overheads do not dominate
+    /// the steady-state difference between policies.
+    fn run_faults(policy: ChurnPolicy, faults: &FaultPlan, nodes: usize) -> ChurnReport {
+        let g = mlp_graph(&MlpConfig::deep(64, 64, 8, 10));
+        let cluster = ClusterSpec::v100_cluster(nodes);
+        let rannc = Rannc::new(PartitionConfig::new(32).with_k(8));
+        let plan = rannc.partition(&g, &cluster).unwrap();
+        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let (start, trace) = faults.to_churn_campaign(&cluster).unwrap();
+        let cfg = ChurnSimConfig {
+            iterations: 200_000,
+            checkpoint_every: NonZeroUsize::new(1000).unwrap(),
+            policy,
+            ..ChurnSimConfig::default()
+        };
+        simulate_churn(&rannc, &plan, &profiler, &start, &trace, &cfg).unwrap()
+    }
+
+    fn fail_at(at_iter: usize) -> FaultPlan {
+        FaultPlan::new(7).with_event(FaultEvent::DeviceFail { rank: 0, at_iter })
+    }
+
     #[test]
     fn quiet_trace_is_a_clean_campaign() {
         let r = run(ChurnPolicy::Adaptive, &ClusterEventTrace::new(1));
@@ -551,6 +551,7 @@ mod tests {
         assert!(!r.halted);
         assert_eq!(r.completed_iterations, 100_000);
         assert_eq!(r.mttr(), 0.0);
+        assert!(r.goodput > 0.0);
     }
 
     #[test]
@@ -645,6 +646,119 @@ mod tests {
         assert!(!r.decisions.is_empty());
         for d in &r.decisions {
             assert!(d.iteration_time > 0.0);
+        }
+    }
+
+    #[test]
+    fn fault_free_campaign_has_no_recoveries() {
+        let r = run_faults(ChurnPolicy::ReplanAlways, &FaultPlan::new(1), 2);
+        assert!(r.decisions.is_empty());
+        assert!(!r.halted);
+        assert_eq!(r.replans, 0);
+        assert_eq!(r.completed_iterations, 200_000);
+        assert_eq!(r.mttr(), 0.0);
+        assert!(r.goodput > 0.0);
+    }
+
+    #[test]
+    fn simulation_is_seed_deterministic() {
+        let a = run_faults(ChurnPolicy::ReplanAlways, &fail_at(50_000), 2);
+        let b = run_faults(ChurnPolicy::ReplanAlways, &fail_at(50_000), 2);
+        assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits());
+        assert_eq!(a.goodput.to_bits(), b.goodput.to_bits());
+        assert_eq!(a.mttr().to_bits(), b.mttr().to_bits());
+        assert_eq!(a.decisions, b.decisions);
+        assert_eq!(a.replans, b.replans);
+    }
+
+    #[test]
+    fn replan_beats_degrade_on_device_loss() {
+        let degrade = run_faults(ChurnPolicy::DegradeInPlace, &fail_at(50_000), 2);
+        let replan = run_faults(ChurnPolicy::ReplanAlways, &fail_at(50_000), 2);
+        assert!(!degrade.halted && !replan.halted);
+        assert_eq!(degrade.decisions.len(), 1);
+        assert_eq!(degrade.decisions[0].action, ChurnAction::Shed);
+        assert_eq!(replan.decisions.len(), 1);
+        assert_eq!(replan.decisions[0].action, ChurnAction::Replan);
+        assert!(
+            replan.goodput > degrade.goodput,
+            "replan {} should beat degrade {}",
+            replan.goodput,
+            degrade.goodput
+        );
+    }
+
+    #[test]
+    fn recovery_accounts_detection_restore_and_replan() {
+        let clean = run_faults(ChurnPolicy::ReplanAlways, &FaultPlan::new(1), 2);
+        let faulted = run_faults(ChurnPolicy::ReplanAlways, &fail_at(50_000), 2);
+        let d = &faulted.decisions[0];
+        assert_eq!((d.at_iter, d.event), (50_000, "leave"));
+        assert_eq!(d.action, ChurnAction::Replan);
+        assert_eq!(d.lost_iters, 0, "the loss lands on a checkpoint");
+        let cfg = ChurnSimConfig::default();
+        assert!(d.downtime >= cfg.detect_timeout + cfg.restore_cost + cfg.replan_cost - 1e-9);
+        assert!(faulted.wall_time > clean.wall_time);
+        assert!(faulted.goodput < clean.goodput);
+        assert!(faulted.mttr() >= d.downtime - 1e-9);
+    }
+
+    #[test]
+    fn lost_work_since_checkpoint_is_paid() {
+        let on_ckpt = run_faults(ChurnPolicy::ReplanAlways, &fail_at(50_000), 2);
+        for policy in [ChurnPolicy::ReplanAlways, ChurnPolicy::DegradeInPlace] {
+            let mid = run_faults(policy, &fail_at(50_700), 2);
+            let d = &mid.decisions[0];
+            assert_eq!(d.lost_iters, 700, "{policy:?}");
+            // the rework runs at the post-decision speed, on top of the stop
+            let cfg = ChurnSimConfig::default();
+            assert!(d.downtime >= cfg.detect_timeout + cfg.restore_cost + 700.0 * d.iteration_time);
+        }
+        let mid = run_faults(ChurnPolicy::ReplanAlways, &fail_at(50_700), 2);
+        assert!(mid.mttr() > on_ckpt.mttr());
+    }
+
+    #[test]
+    fn degrade_without_redundancy_halts() {
+        // a single node: losing every device one by one exhausts the
+        // pipeline replicas a degrade-only run can shed
+        let mut faults = FaultPlan::new(3);
+        for rank in 0..8 {
+            faults.push(FaultEvent::DeviceFail {
+                rank,
+                at_iter: 20 * (rank + 1),
+            });
+        }
+        let r = run_faults(ChurnPolicy::DegradeInPlace, &faults, 1);
+        assert!(r.halted, "losing every device must halt a degrade-only run");
+        assert_eq!(r.decisions.last().unwrap().action, ChurnAction::Halt);
+        assert!(r.completed_iterations < 200_000);
+    }
+
+    #[test]
+    fn latency_faults_slow_the_campaign_without_decisions() {
+        let clean = run_faults(ChurnPolicy::ReplanAlways, &FaultPlan::new(1), 2);
+        for event in [
+            FaultEvent::Straggler {
+                rank: 0,
+                slowdown: 3.0,
+            },
+            FaultEvent::LinkDegrade { factor: 0.25 },
+            FaultEvent::TransientCommError { prob: 0.2 },
+        ] {
+            let slow = run_faults(
+                ChurnPolicy::ReplanAlways,
+                &FaultPlan::new(9).with_event(event),
+                2,
+            );
+            assert!(slow.decisions.is_empty(), "{event:?}");
+            assert!(!slow.halted);
+            assert!(
+                slow.goodput < clean.goodput,
+                "{event:?} must cost goodput: {} vs {}",
+                slow.goodput,
+                clean.goodput
+            );
         }
     }
 }

@@ -20,7 +20,6 @@
 pub mod async2bw;
 pub mod churn;
 pub mod dataparallel;
-pub mod fault;
 pub mod spec;
 pub mod sync;
 pub mod trace;
@@ -29,7 +28,6 @@ pub mod viz;
 pub use churn::{
     simulate_churn, ChurnAction, ChurnDecision, ChurnPolicy, ChurnReport, ChurnSimConfig,
 };
-pub use fault::{simulate_faulted, FaultSimConfig, FaultSimReport, RecoveryEvent, RecoveryPolicy};
 pub use spec::{PipelineSpec, SimResult, SpecError, StageSpec};
 pub use sync::{
     comm_program, deep_verify_plan, schedule_model, simulate_sync, sync_work_orders, SyncSchedule,

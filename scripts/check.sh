@@ -39,14 +39,16 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one DP, one search, no cost-model wrapper)"
+echo "==> one-path gate (one DP, one search, one campaign engine, no cost-model wrapper)"
 # rannc-core exports one DP entry point (form_stage_dp) and one search
 # entry point (form_stage_with); the slow references live in test
-# support (crates/core/tests/support/reference.rs), and the analytical
-# cost model is the Profiler itself
-if grep -rnE --include='*.rs' "form_stage_dp_[a-z]|form_stage_seq|shared_cache|AnalyticalCost" \
+# support (crates/core/tests/support/reference.rs), the analytical
+# cost model is the Profiler itself, and fault plans run on the churn
+# campaign engine (simulate_churn) rather than a second simulator
+if grep -rnE --include='*.rs' \
+    "form_stage_dp_[a-z]|form_stage_seq|shared_cache|AnalyticalCost|simulate_faulted|FaultSimConfig|FaultSimReport|RecoveryPolicy" \
     crates/*/src; then
-    echo "FAILED: duplicate DP/search entry point or cost-model wrapper in crates/*/src"
+    echo "FAILED: duplicate DP/search/campaign entry point or cost-model wrapper in crates/*/src"
     exit 1
 fi
 
@@ -156,6 +158,16 @@ if ./target/release/rannc-plan explain "$OBS_TMP/explain_corrupt.json" \
     >/dev/null 2>&1; then
     echo "explain accepted a corrupted artifact"; exit 1
 fi
+
+echo "==> faults smoke (README fault campaign on the churn engine, traced)"
+# the README's faults command: a device loss and a straggler, run under
+# degrade-in-place and replan-always; the trace it emits must validate
+./target/release/rannc-plan faults --model mlp --hidden 64 --layers 8 \
+    --nodes 2 --batch 32 --k 8 --fail 0@50000 --straggler 3@2.0 \
+    --trace-out "$OBS_TMP/faults_trace.json" >/dev/null \
+    || { echo "faults campaign FAILED"; exit 1; }
+./target/release/rannc-plan obs-check --trace "$OBS_TMP/faults_trace.json" \
+    || { echo "faults obs-check FAILED"; exit 1; }
 
 echo "==> churn smoke (seeded 50-event campaign, all policies, verified plans)"
 # bert at 16 devices under a seeded 50-event churn stream: the campaign
