@@ -10,16 +10,15 @@
 //! | Fig. 5 (enlarged ResNet throughput) | `fig5_resnet` | [`fig5::run`] |
 //! | §IV-C coarsening ablation | `coarsening_ablation` | [`ablation::run`] |
 //! | §IV-B loss validation | `loss_validation` | re-uses `rannc::train` |
-//! | planner engine speedup | `planner_bench` | [`planner::run`] |
 //!
 //! Binaries accept `--quick` for a reduced grid (used in CI); the default
 //! reproduces the paper's full parameter grid. Criterion micro-benchmarks
-//! of the partitioning phases live in `benches/`.
+//! of the schedule simulator and the churn engine live in `benches/`;
+//! planner wall time and per-phase counters are measured by `perfbench/`.
 
 pub mod ablation;
 pub mod fig4;
 pub mod fig5;
-pub mod planner;
 pub mod report;
 
 /// Table I of the paper, reproduced verbatim as a feature matrix.

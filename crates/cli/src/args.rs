@@ -508,6 +508,18 @@ impl Args {
         if a.tp_max == 0 {
             return Err("--tp-max must be positive".into());
         }
+        // the transformer builders split `hidden` into `hidden / 64`
+        // heads of equal width
+        if matches!(a.model, ModelKind::Bert | ModelKind::Gpt)
+            && (a.hidden < 64 || a.hidden % (a.hidden / 64) != 0)
+        {
+            return Err(format!(
+                "--hidden {} cannot be split into {} attention heads of equal \
+                 width (use a multiple of 64)",
+                a.hidden,
+                a.hidden / 64
+            ));
+        }
         if matches!(a.command, Command::Faults | Command::Churn) && a.iterations == 0 {
             return Err("--iterations must be positive".into());
         }
@@ -587,6 +599,29 @@ mod tests {
     #[test]
     fn zero_rejected() {
         assert!(parse("--model bert --nodes 0").is_err());
+    }
+
+    #[test]
+    fn hidden_sizes_without_equal_heads_rejected() {
+        for bad in [
+            "--model gpt --hidden 63",
+            "--model bert --hidden 0",
+            "--model bert --hidden 200",
+            "--model gpt --hidden 1000",
+        ] {
+            let e = parse(bad).unwrap_err();
+            assert!(e.contains("attention heads"), "{bad}: {e}");
+        }
+        // hidden / 64 heads that divide hidden evenly are fine, and the
+        // check leaves the other models alone
+        for good in [
+            "--model bert --hidden 64",
+            "--model gpt --hidden 130",
+            "--model bert --hidden 2048",
+            "--model mlp --hidden 63",
+        ] {
+            assert!(parse(good).is_ok(), "{good}");
+        }
     }
 
     #[test]

@@ -125,6 +125,15 @@ fn main() {
         match rannc::core::load_plan(std::path::Path::new(path)) {
             Ok(p) => {
                 eprintln!("loaded cached plan from {path}");
+                // pricing a stage of another graph's plan indexes past
+                // this graph's tasks; `verify` reports the mismatch
+                // itself (RV021) with the rest of its diagnostics
+                if args.command != Command::Verify {
+                    if let Err(e) = p.check_graph(&graph) {
+                        eprintln!("plan file {path} does not fit this model: {e}");
+                        std::process::exit(1);
+                    }
+                }
                 p
             }
             Err(e) => {

@@ -173,7 +173,7 @@ impl PartitionConfig {
 
 /// Observability snapshot of one partitioning run, returned by
 /// [`Rannc::partition_with_stats`] and surfaced by the CLI's
-/// `--planner-stats` flag and the planner bench JSON.
+/// `--planner-stats` flag.
 #[derive(Debug, Clone, Default)]
 pub struct PlannerStats {
     /// Profiling-oracle memo cache behaviour (hits/misses/contention,
@@ -307,6 +307,14 @@ pub enum PartitionError {
     Infeasible,
     /// The cluster has no healthy devices left to plan against.
     ClusterEmpty,
+    /// A plan's stage sets range over another graph's task ids (see
+    /// [`PartitionPlan::check_graph`]).
+    PlanGraphMismatch {
+        /// Task-id universe of the first mismatched stage set.
+        plan_tasks: usize,
+        /// Tasks in the graph the plan was offered for.
+        graph_tasks: usize,
+    },
     /// The produced plan failed the static verification post-pass
     /// ([`VerifyMode::Fail`]); the full report is attached.
     FailedVerification(Report),
@@ -322,6 +330,14 @@ impl std::fmt::Display for PartitionError {
             PartitionError::ClusterEmpty => {
                 write!(f, "cluster has no healthy devices")
             }
+            PartitionError::PlanGraphMismatch {
+                plan_tasks,
+                graph_tasks,
+            } => write!(
+                f,
+                "plan was made for a graph of {plan_tasks} tasks, not this \
+                 graph's {graph_tasks}"
+            ),
             PartitionError::FailedVerification(report) => {
                 let (e, w) = report.counts();
                 write!(
@@ -367,7 +383,7 @@ impl Rannc {
     }
 
     /// [`Rannc::partition`], additionally returning planner observability
-    /// counters (cache hit rates, contention, search shape).
+    /// counters (profiler and stage-memo hit rates, search shape).
     pub fn partition_with_stats(
         &self,
         graph: &TaskGraph,
@@ -533,6 +549,7 @@ impl Rannc {
         if old_plan.stages.is_empty() {
             return self.partition(graph, &view);
         }
+        old_plan.check_graph(graph)?;
         let opts = ProfilerOptions {
             precision: self.config.precision,
             ..ProfilerOptions::fp32()
@@ -703,6 +720,36 @@ mod tests {
         assert_eq!(
             rannc.repartition(&g, &plan, &dead).unwrap_err(),
             PartitionError::ClusterEmpty
+        );
+    }
+
+    #[test]
+    fn repartition_rejects_a_plan_made_for_another_graph() {
+        let big = mlp_graph(&MlpConfig::deep(64, 64, 12, 10));
+        let small = mlp_graph(&MlpConfig::deep(64, 64, 4, 10));
+        assert_ne!(big.num_tasks(), small.num_tasks());
+        let cluster = ClusterSpec::v100_cluster(2);
+        let rannc = Rannc::new(PartitionConfig::new(32).with_k(8));
+        let plan = rannc.partition(&big, &cluster).unwrap();
+        assert_eq!(plan.check_graph(&big), Ok(()));
+
+        let degraded = cluster
+            .without_device(rannc_hw::DeviceRank { node: 0, local: 3 })
+            .unwrap();
+        let err = rannc.repartition(&small, &plan, &degraded).unwrap_err();
+        assert_eq!(
+            err,
+            PartitionError::PlanGraphMismatch {
+                plan_tasks: big.num_tasks(),
+                graph_tasks: small.num_tasks(),
+            }
+        );
+        assert_eq!(plan.check_graph(&small), Err(err.clone()));
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&big.num_tasks().to_string())
+                && msg.contains(&small.num_tasks().to_string()),
+            "{msg}"
         );
     }
 

@@ -1,7 +1,8 @@
 //! The finished partition plan: stages, replicas, device assignment.
 
 use crate::dp::DpSolution;
-use rannc_graph::TaskSet;
+use crate::PartitionError;
+use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::ClusterSpec;
 use rannc_verify::{PlanView, StageView};
 use serde::{Deserialize, Serialize};
@@ -112,6 +113,20 @@ impl PartitionPlan {
             batch_size,
             bottleneck: sol.value,
             est_iteration_time: sol.estimated_iteration_time(),
+        }
+    }
+
+    /// Check that the plan belongs to `graph`: every stage set must range
+    /// over the graph's task ids. Pricing or simulating a stage of
+    /// another graph's plan would index past this graph's tasks.
+    pub fn check_graph(&self, graph: &TaskGraph) -> Result<(), PartitionError> {
+        let graph_tasks = graph.num_tasks();
+        match self.stages.iter().find(|s| s.set.universe() != graph_tasks) {
+            Some(s) => Err(PartitionError::PlanGraphMismatch {
+                plan_tasks: s.set.universe(),
+                graph_tasks,
+            }),
+            None => Ok(()),
         }
     }
 

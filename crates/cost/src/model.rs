@@ -98,8 +98,7 @@ pub trait CostModel: Sync {
     }
 
     /// Stable name of the pricing family, for reports and the explain
-    /// artifact (`"analytical"` / `"calibrated"`) — the same tags
-    /// `CostModelSpec::name` uses.
+    /// artifact (`"analytical"` / `"calibrated"`).
     fn name(&self) -> &'static str {
         "analytical"
     }
@@ -372,14 +371,6 @@ impl CostModelSpec {
             }
         }
     }
-
-    /// Short display name for reports and stats.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CostModelSpec::Analytical => "analytical",
-            CostModelSpec::Calibrated(_) => "calibrated",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -491,19 +482,19 @@ mod tests {
             ProfilerOptions::fp32(),
             &cluster,
         );
-        assert_eq!(CostModelSpec::Analytical.name(), "analytical");
         let cal = Calibration {
             compute: 2.0,
             ..Calibration::identity()
         };
         let spec = CostModelSpec::Calibrated(cal);
-        assert_eq!(spec.name(), "calibrated");
         let calibrated = spec.build(
             &g,
             cluster.device.clone(),
             ProfilerOptions::fp32(),
             &cluster,
         );
+        assert_eq!(analytical.name(), "analytical");
+        assert_eq!(calibrated.name(), "calibrated");
         let a = analytical.stage_cost(&s, 4, 1, false);
         let b = calibrated.stage_cost(&s, 4, 1, false);
         assert!(b.fwd_time > a.fwd_time);

@@ -13,7 +13,7 @@
 //!   global [`enabled`] flag, which is checked *before any allocation*:
 //!   a span guard created while disabled is a no-op holding no data.
 //!   [`trace::alloc_count`] counts every tracing-side allocation so
-//!   benches can assert the disabled mode truly allocates nothing.
+//!   tests can assert the disabled mode truly allocates nothing.
 //! * **Metrics** ([`metrics`]) — named counters, gauges and log-bucket
 //!   histograms backed by atomics. Handles are registered once per name;
 //!   bumping a handle is a single atomic op and never allocates, so the

@@ -10,10 +10,11 @@
 //!
 //! The cost contract mirrors the tracing layer exactly: every recording
 //! entry point checks [`enabled`] *before touching the heap*, so a
-//! disabled recorder allocates nothing ([`alloc_count`] lets benches pin
+//! disabled recorder allocates nothing ([`alloc_count`] lets tests pin
 //! that), and the search hooks are plan-preserving — a recorded search
-//! returns a bit-identical plan (the `explain_recorder` integration
-//! suite and `planner_bench --check` pin both halves).
+//! returns a bit-identical plan (`rannc-core`'s `explain_recorder`
+//! integration test `recorder_is_plan_preserving_and_free_while_disabled`
+//! pins both halves).
 //!
 //! **Determinism.** The serialized artifact ([`to_json`], frozen schema
 //! `rannc_explain` v1) is byte-identical across worker-thread counts.
@@ -46,7 +47,8 @@ pub fn enabled() -> bool {
 
 /// Total records the recorder has allocated since process start. Exactly
 /// 0 while the recorder has never been enabled — the zero-overhead
-/// guarantee `planner_bench --check` pins.
+/// guarantee `explain_recorder::recorder_is_plan_preserving_and_free_while_disabled`
+/// pins.
 pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
@@ -311,8 +313,8 @@ pub fn take() -> Option<Recording> {
 ///
 /// Field order, formatting ([`fmt_f64`]) and layout are part of the
 /// contract: the same recording always serializes to the same bytes, and
-/// the quick-grid recording itself is byte-identical across worker
-/// thread counts (`planner_bench --check`).
+/// a recording is byte-identical across worker thread counts
+/// (`explain_recorder::artifact_is_byte_identical_across_thread_counts`).
 pub fn to_json(rec: &Recording) -> String {
     let ctx = rec.context.clone().unwrap_or_default();
     let acc = rec.accounting.clone().unwrap_or_default();

@@ -9,7 +9,7 @@
 //! Every recording entry point checks [`crate::enabled`] *before*
 //! touching the heap: a disabled span is `None` inside and its drop is a
 //! no-op. [`alloc_count`] counts each record the tracing layer allocates
-//! (slices, lane registrations), so benches can assert the disabled mode
+//! (slices, lane registrations), so tests can assert the disabled mode
 //! allocated exactly nothing.
 //!
 //! Lanes: OS threads get a small stable id on first use ([`current_tid`]);
@@ -234,7 +234,8 @@ pub fn lane_names() -> Vec<(u64, String)> {
 
 /// Total records the tracing layer has allocated since process start
 /// (slices + lane registrations). Exactly 0 while tracing has never been
-/// enabled — the zero-overhead guarantee `planner_bench --check` pins.
+/// enabled — the zero-overhead guarantee pinned by
+/// `obs_roundtrip::disabled_tracing_allocates_nothing_during_partition`.
 pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }

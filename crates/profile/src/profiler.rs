@@ -228,8 +228,8 @@ impl<V: Copy + Default> FlatMemo<V> {
     }
 }
 
-/// Counters of a sharded memo cache, for `--planner-stats` and the bench
-/// JSON. `contention` counts lock acquisitions that found the shard busy
+/// Counters of a sharded memo cache, for `--planner-stats` and the
+/// metrics registry. `contention` counts lock acquisitions that found the shard busy
 /// (a `try_lock` failure before the blocking lock) — the observable the
 /// sharding exists to minimize.
 ///

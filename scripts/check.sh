@@ -39,7 +39,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one DP, one search, one campaign engine, no cost-model wrapper)"
+echo "==> one-path gate (one DP, one search, one campaign engine, no cost-model wrapper, one planner benchmark)"
 # rannc-core exports one DP entry point (form_stage_dp) and one search
 # entry point (form_stage_with); the slow references live in test
 # support (crates/core/tests/support/reference.rs), the analytical
@@ -49,6 +49,14 @@ if grep -rnE --include='*.rs' \
     "form_stage_dp_[a-z]|form_stage_seq|shared_cache|AnalyticalCost|simulate_faulted|FaultSimConfig|FaultSimReport|RecoveryPolicy" \
     crates/*/src; then
     echo "FAILED: duplicate DP/search/campaign entry point or cost-model wrapper in crates/*/src"
+    exit 1
+fi
+# planner wall time is measured by perfbench/ alone; the retired second
+# planner benchmark, its report file and its library module must not
+# come back (the bracket expressions keep this line from matching itself)
+if grep -rnE "planner[_]bench|BENCH[_]partition|rannc_bench::planne[r]" \
+    crates scripts tests; then
+    echo "FAILED: second planner benchmark referenced under crates/, scripts/ or tests/"
     exit 1
 fi
 
@@ -88,8 +96,8 @@ echo "==> tensor-parallel smoke (3D sweep picks T>1, deep-verifies, beats 2D)"
 # parallelism alone cannot occupy the node — the (S, MB, T) sweep must
 # shard the stage, and the plan must survive the deep verifier's RV07x
 # tensor-parallel checks. The quantitative half of this gate (3D beats
-# the best 2D plan's simulated iteration) runs inside planner_bench
-# --check below.
+# the best 2D plan's simulated iteration) is the integration test
+# tests/end_to_end.rs::tensor_parallel_plan_beats_the_best_2d_plan.
 ./target/release/rannc-plan verify --model bert --hidden 1024 --layers 4 \
     --nodes 1 --batch 4 --k 8 --tp-max 4 --deep >/dev/null \
     || { echo "tensor-parallel deep verify FAILED"; exit 1; }
@@ -107,22 +115,37 @@ if echo "$TP1_PLAN" | grep -q "tensor"; then
 fi
 echo "    tensor-parallel smoke clean: T>1 chosen, deep verify passed, 2D unchanged"
 
-echo "==> planner-bench smoke (engine vs its one-thread baseline, self-checked)"
-# --check exits nonzero on malformed JSON, a plan that differs from the
-# one-thread baseline, or a zero cache hit rate.
-./target/release/planner_bench --quick --threads 4 --check \
-    --out BENCH_partition_quick.json \
-    || { echo "planner_bench smoke FAILED"; exit 1; }
-rm -f BENCH_partition_quick.json
+echo "==> paper-scale smoke (bert-256l at 128 devices, 120 s budget, 1 vs 4 threads)"
+# a ~7.4k-task BERT planned at 128 devices must finish well inside the
+# wall-clock budget, and the sweep's worker count must not change the
+# plan: the saved plans at 1 and 4 threads are byte-identical
+PAPER_TMP="$(mktemp -d)"
+trap 'rm -rf "$PAPER_TMP"' EXIT
+for threads in 1 4; do
+    timeout 120 ./target/release/rannc-plan --model bert --hidden 2048 \
+        --layers 256 --nodes 16 --batch 1024 --k 32 --threads "$threads" \
+        --save "$PAPER_TMP/plan_t$threads.rncp" >/dev/null 2>&1 \
+        || { echo "paper-scale plan FAILED at $threads thread(s) (or blew the 120 s budget)"; exit 1; }
+done
+cmp "$PAPER_TMP/plan_t1.rncp" "$PAPER_TMP/plan_t4.rncp" \
+    || { echo "paper-scale plan differs between 1 and 4 threads"; exit 1; }
+echo "    paper-scale smoke clean: plans identical at 1 and 4 threads"
 
-echo "==> planner-bench paper-scale smoke (bert-256l at 128 devices, 120 s budget)"
-# The acceptance config of the flat-table DP engine: a ~7.4k-task BERT
-# planned at 128 devices must finish well inside the wall-clock budget
-# and pass the same self-checks (bit-identical plans, cache hit rates).
-timeout 120 ./target/release/planner_bench --paper-scale --quick --threads 4 \
-    --check --repeat 1 --out BENCH_partition_paper_quick.json \
-    || { echo "planner_bench paper-scale smoke FAILED (or blew the 120 s budget)"; exit 1; }
-rm -f BENCH_partition_paper_quick.json
+echo "==> mismatched-plan smoke (a saved plan offered for another model)"
+# a plan whose stage sets range over another graph's tasks must be
+# rejected with a message and exit 1, with or without a device loss
+for extra in "" "--lose-device 3"; do
+    status=0
+    # shellcheck disable=SC2086
+    ./target/release/rannc-plan --model bert --hidden 256 --layers 4 \
+        --nodes 2 --batch 64 --k 8 --load "$PAPER_TMP/plan_t1.rncp" $extra \
+        >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "mismatched plan ${extra:+with $extra }exited $status, expected 1"; exit 1
+    fi
+done
+rm -rf "$PAPER_TMP"
+echo "    mismatched-plan smoke clean: rejected with exit 1"
 
 echo "==> observability smoke (trace + metrics export, validated by obs-check)"
 OBS_TMP="$(mktemp -d)"

@@ -195,3 +195,36 @@ fn strong_calibration_changes_a_chosen_partition() {
         "strong calibration changed no bundled model's partition"
     );
 }
+
+/// The cost-model gate on the quick grid (mlp-12l and bert-4l h256 at
+/// 16 devices): a calibration with every factor displaced from 1.0 —
+/// inter-node links hit hardest, so replication-vs-pipelining decisions
+/// feel it too — yields a plan that passes `VerifyMode::Fail`, like the
+/// analytical model's, and the two estimated iteration times differ:
+/// switching models changes prices and never the plan's validity.
+#[test]
+fn perturbed_calibration_changes_prices_and_stays_valid() {
+    let cal = Calibration {
+        compute: 1.35,
+        ops: vec![("matmul".into(), 1.8)],
+        link_intra: 1.5,
+        link_inter: 3.0,
+        allreduce: 1.25,
+        optimizer: 1.6,
+        memory: 1.0,
+    };
+    let cluster = ClusterSpec::v100_cluster(2);
+    for g in [
+        mlp_graph(&MlpConfig::deep(128, 128, 12, 10)),
+        bert_graph(&BertConfig::enlarged(256, 4)),
+    ] {
+        let analytical = partition_with(&g, &cluster, CostModelSpec::Analytical);
+        let calibrated = partition_with(&g, &cluster, CostModelSpec::Calibrated(cal.clone()));
+        assert_ne!(
+            analytical.est_iteration_time.to_bits(),
+            calibrated.est_iteration_time.to_bits(),
+            "{}: perturbed calibration left the estimated iteration time unchanged",
+            g.name
+        );
+    }
+}

@@ -193,6 +193,92 @@ fn three_axis_sweep_is_thread_deterministic() {
     }
 }
 
+/// Every tensor-parallel degree a plan chooses is one the sweep was
+/// allowed to try: `1 <= T <= tp_max` and `T <= devices`. The second
+/// bound is checked with `tp_max` (32) above the size of the cluster (8).
+#[test]
+fn chosen_tp_degrees_stay_within_search_bounds() {
+    for (nodes, tp_max) in [(2usize, 4usize), (1, 32)] {
+        let cluster = ClusterSpec::v100_cluster(nodes);
+        let devices = cluster.total_devices();
+        for g in bundled_models() {
+            let (profiler, blocks) = prep(&g, &cluster);
+            let opts = SearchOptions { threads: 1, tp_max };
+            let (sol, _) = form_stage_with(&g, &profiler, &blocks, &cluster, 64, &opts);
+            let sol = sol.unwrap_or_else(|| panic!("{}: expected feasible 3D plan", g.name));
+            for st in &sol.stages {
+                assert!(
+                    (1..=tp_max).contains(&st.tensor_parallel) && st.tensor_parallel <= devices,
+                    "{}: stage degree T = {} outside 1..={tp_max} or above {devices} devices",
+                    g.name,
+                    st.tensor_parallel
+                );
+            }
+        }
+    }
+}
+
+/// The quick-grid BERT case (bert-4l h256, 16 devices) with `tp_max = 4`:
+/// four workers return the one-worker plan bit for bit, with one degree
+/// per stage, each within `1..=4`.
+#[test]
+fn quick_bert_with_tp_is_thread_deterministic() {
+    let g = bert_graph(&BertConfig::enlarged(256, 4));
+    let cluster = ClusterSpec::v100_cluster(2);
+    let (profiler, blocks) = prep(&g, &cluster);
+    let run = |threads| {
+        let opts = SearchOptions { threads, tp_max: 4 };
+        form_stage_with(&g, &profiler, &blocks, &cluster, 64, &opts).0
+    };
+    let one = run(1);
+    assert_identical(&one, &run(4), "bert-4l tp_max=4 threads=4");
+    let sol = one.expect("bert-4l: expected feasible 3D plan");
+    assert!(!sol.stages.is_empty());
+    assert!(
+        sol.stages
+            .iter()
+            .all(|st| (1..=4).contains(&st.tensor_parallel)),
+        "{:?}",
+        sol.stages
+            .iter()
+            .map(|st| st.tensor_parallel)
+            .collect::<Vec<_>>()
+    );
+}
+
+/// The profiler's two-layer memo (batch-independent set stats plus
+/// per-batch timings) makes checkpoint and in-flight variants of a stage
+/// hit: a search on a fresh cost model over the quick grid (mlp-12l and
+/// bert-4l h256 at 16 devices) answers at least 60% of its profiler
+/// lookups from the memo. One worker keeps the count exact: two workers
+/// racing on one key both record a miss.
+#[test]
+fn fresh_search_hits_the_profiler_memo() {
+    const HIT_RATE_FLOOR: f64 = 0.6;
+    let cluster = ClusterSpec::v100_cluster(2);
+    for g in [
+        mlp_graph(&MlpConfig::deep(128, 128, 12, 10)),
+        bert_graph(&BertConfig::enlarged(256, 4)),
+    ] {
+        let (_, blocks) = prep(&g, &cluster);
+        let fresh = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+        let opts = SearchOptions {
+            threads: 1,
+            tp_max: 1,
+        };
+        let (sol, _) = form_stage_with(&g, &fresh, &blocks, &cluster, 64, &opts);
+        assert!(sol.is_some(), "{}: expected feasible", g.name);
+        let rate = fresh.cache_stats().hit_rate();
+        assert!(
+            rate >= HIT_RATE_FLOOR,
+            "{}: profiler hit rate {:.1}% is below the {:.0}% floor",
+            g.name,
+            rate * 100.0,
+            HIT_RATE_FLOOR * 100.0
+        );
+    }
+}
+
 /// Passing `tp_max = 1` explicitly is the historical 2D search: the
 /// engine's plan still matches the reference scan, so the third axis is
 /// strictly opt-in.

@@ -153,3 +153,90 @@ fn plan_summary_is_stable() {
     // the whole pipeline is deterministic: identical runs, identical plans
     assert_eq!(plan_a.summary(), plan_b.summary());
 }
+
+/// The certified-memory gate on the quick grid: mlp-12l and bert-4l h256
+/// at 16 and 32 devices are partitioned under `VerifyMode::Certify`,
+/// then deep-verified again under both synchronous schedules. The
+/// liveness-certified peak must fit every hosting device slot, and the
+/// derived communication program must be race- and deadlock-free.
+#[test]
+fn certified_memory_fits_every_slot_on_the_quick_grid() {
+    use rannc::pipeline::deep_verify_plan;
+    for g in [
+        mlp_graph(&MlpConfig::deep(128, 128, 12, 10)),
+        bert_graph(&BertConfig::enlarged(256, 4)),
+    ] {
+        for nodes in [2usize, 4] {
+            let cluster = ClusterSpec::v100_cluster(nodes);
+            let label = format!("{} @ {} devices", g.name, cluster.total_devices());
+            let plan = Rannc::new(
+                PartitionConfig::new(64)
+                    .with_k(8)
+                    .with_verify(VerifyMode::Certify),
+            )
+            .partition(&g, &cluster)
+            .unwrap_or_else(|e| panic!("{label}: partition failed under Certify: {e}"));
+            for schedule in [SyncSchedule::FillDrain, SyncSchedule::OneFOneB] {
+                let (report, certified) =
+                    deep_verify_plan(&g, &plan, &cluster, schedule, Precision::FP32)
+                        .unwrap_or_else(|e| panic!("{label}: no comm program: {e}"));
+                assert!(
+                    !report.has_errors(),
+                    "{label} [{schedule:?}]: deep verification found errors:\n{}",
+                    report.render()
+                );
+                for (i, c) in certified.iter().enumerate() {
+                    assert!(
+                        c.certified_bytes <= c.capacity_bytes,
+                        "{label} [{schedule:?}]: stage {i} certified peak {} B exceeds \
+                         capacity {} B on device d{}",
+                        c.certified_bytes,
+                        c.capacity_bytes,
+                        c.device
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The tensor-parallel gate: a Megatron-regime case (bert h1024 l4 on
+/// one 8-GPU node at mini-batch 4, so data parallelism alone cannot
+/// occupy the node) planned under `VerifyMode::Certify` with
+/// `tp_max = 4` picks some `T > 1`, and its plan simulates strictly
+/// faster than the best 2D (`tp_max = 1`) plan.
+#[test]
+fn tensor_parallel_plan_beats_the_best_2d_plan() {
+    let g = bert_graph(&BertConfig::enlarged(1024, 4));
+    let cluster = ClusterSpec::v100_cluster(1);
+    let profiler = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+    let plan_for = |tp_max: usize| {
+        Rannc::new(
+            PartitionConfig::new(4)
+                .with_k(8)
+                .with_verify(VerifyMode::Certify)
+                .with_tp_max(tp_max),
+        )
+        .partition(&g, &cluster)
+        .unwrap_or_else(|e| panic!("tp_max {tp_max}: partition failed under Certify: {e}"))
+    };
+    let simulated = |plan: &PartitionPlan| {
+        let spec = rannc::pipeline::spec_from_plan(plan, &profiler, &cluster).expect("valid plan");
+        simulate_sync(&spec, SyncSchedule::FillDrain, false)
+            .result
+            .iteration_time
+    };
+    let (plan_2d, plan_3d) = (plan_for(1), plan_for(4));
+    let degrees: Vec<usize> = plan_3d.stages.iter().map(|s| s.tensor_parallel).collect();
+    assert!(
+        degrees.iter().any(|&t| t > 1),
+        "the 3D sweep never chose T > 1 (per-stage degrees {degrees:?})"
+    );
+    let (t2d, t3d) = (simulated(&plan_2d), simulated(&plan_3d));
+    assert!(
+        t3d < t2d,
+        "3D plan simulates at {:.3} ms, not better than the best 2D plan's {:.3} ms",
+        t3d * 1e3,
+        t2d * 1e3
+    );
+}

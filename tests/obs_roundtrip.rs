@@ -115,3 +115,22 @@ fn chrome_trace_roundtrip_bert_16_devices() {
 
     trace::reset();
 }
+
+/// With tracing off, a full `Rannc::partition` allocates no trace
+/// record: the planner's spans cost nothing until tracing is enabled.
+#[test]
+fn disabled_tracing_allocates_nothing_during_partition() {
+    let _serial = trace::test_guard();
+    rannc::obs::set_enabled(false);
+    let graph = bert_graph(&BertConfig::enlarged(256, 4));
+    let cluster = ClusterSpec::v100_cluster(2);
+    let before = trace::alloc_count();
+    Rannc::new(PartitionConfig::new(64).with_k(8))
+        .partition(&graph, &cluster)
+        .unwrap();
+    assert_eq!(
+        trace::alloc_count(),
+        before,
+        "tracing disabled but the partition allocated trace records"
+    );
+}
