@@ -222,6 +222,21 @@ pub enum ModelKind {
     Mlp,
 }
 
+impl ModelKind {
+    /// Attention heads the CLI builds this model with at width `hidden`,
+    /// or `None` for models without attention. Heads are 64 wide: BERT
+    /// and GPT as `BertConfig::enlarged` / `GptConfig::enlarged` build
+    /// them, T5 with at least one head. The head split is valid only if
+    /// the heads divide `hidden` evenly.
+    pub fn attention_heads(self, hidden: usize) -> Option<usize> {
+        match self {
+            ModelKind::Bert | ModelKind::Gpt => Some(hidden / 64),
+            ModelKind::T5 => Some((hidden / 64).max(1)),
+            ModelKind::Resnet | ModelKind::Mlp => None,
+        }
+    }
+}
+
 /// Parsed command-line options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Args {
@@ -508,17 +523,15 @@ impl Args {
         if a.tp_max == 0 {
             return Err("--tp-max must be positive".into());
         }
-        // the transformer builders split `hidden` into `hidden / 64`
-        // heads of equal width
-        if matches!(a.model, ModelKind::Bert | ModelKind::Gpt)
-            && (a.hidden < 64 || a.hidden % (a.hidden / 64) != 0)
-        {
-            return Err(format!(
-                "--hidden {} cannot be split into {} attention heads of equal \
-                 width (use a multiple of 64)",
-                a.hidden,
-                a.hidden / 64
-            ));
+        // the transformer builders split `hidden` into heads of equal width
+        if let Some(heads) = a.model.attention_heads(a.hidden) {
+            if heads == 0 || a.hidden % heads != 0 {
+                return Err(format!(
+                    "--hidden {} cannot be split into {heads} attention heads of \
+                     equal width (use a multiple of 64)",
+                    a.hidden
+                ));
+            }
         }
         if matches!(a.command, Command::Faults | Command::Churn) && a.iterations == 0 {
             return Err("--iterations must be positive".into());
@@ -608,6 +621,8 @@ mod tests {
             "--model bert --hidden 0",
             "--model bert --hidden 200",
             "--model gpt --hidden 1000",
+            // T5 builds max(1, hidden / 64) heads over a hidden-wide attention
+            "--model t5 --hidden 200",
         ] {
             let e = parse(bad).unwrap_err();
             assert!(e.contains("attention heads"), "{bad}: {e}");
@@ -618,9 +633,21 @@ mod tests {
             "--model bert --hidden 64",
             "--model gpt --hidden 130",
             "--model bert --hidden 2048",
+            "--model t5 --hidden 256",
             "--model mlp --hidden 63",
         ] {
             assert!(parse(good).is_ok(), "{good}");
+        }
+    }
+
+    #[test]
+    fn head_rule_matches_the_model_configs() {
+        use rannc::models::{BertConfig, GptConfig};
+        for hidden in [64, 130, 200, 1024, 2048] {
+            let bert = BertConfig::enlarged(hidden, 1).heads;
+            let gpt = GptConfig::enlarged(hidden, 1).heads;
+            assert_eq!(ModelKind::Bert.attention_heads(hidden), Some(bert));
+            assert_eq!(ModelKind::Gpt.attention_heads(hidden), Some(gpt));
         }
     }
 

@@ -144,13 +144,11 @@ fn main() {
     } else {
         let started = std::time::Instant::now();
         match rannc.partition_with_stats(&graph, &cluster) {
-            Ok((p, _stats)) => {
+            Ok((p, stats)) => {
                 if args.planner_stats {
-                    // sourced from the metrics registry (same numbers as
-                    // the per-run snapshot in a single-run process)
                     eprintln!(
                         "{}\n  wall clock: {:.3} s",
-                        rannc::core::PlannerStats::render_registry(),
+                        stats.render(),
                         started.elapsed().as_secs_f64()
                     );
                 }
@@ -624,7 +622,9 @@ fn build_graph(args: &Args) -> TaskGraph {
         ModelKind::T5 => {
             let mut cfg = T5Config::base();
             cfg.hidden = args.hidden;
-            cfg.heads = (args.hidden / 64).max(1);
+            cfg.heads = ModelKind::T5
+                .attention_heads(args.hidden)
+                .expect("T5 has attention");
             cfg.kv_inner = args.hidden;
             cfg.intermediate = 4 * args.hidden;
             cfg.encoder_layers = args.layers;

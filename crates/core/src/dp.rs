@@ -174,9 +174,10 @@ impl DpArena {
         DpArena::default()
     }
 
-    /// Memo behaviour over the arena's life.
+    /// Memo behaviour over the arena's life: hits are memo hits, misses
+    /// and entries are stage evaluations.
     pub fn stats(&self) -> CacheStats {
-        memo_stats(self.hits, self.evals)
+        CacheStats::new(self.hits, self.evals, self.evals as usize)
     }
 
     /// Size the tables for one candidate and invalidate the memo if the
@@ -211,17 +212,6 @@ impl DpArena {
         self.tb.resize(cells, 0.0);
         self.parent.clear();
         self.parent.resize(cells, (u32::MAX, u32::MAX));
-    }
-}
-
-/// Stage-cost memo counters as a [`CacheStats`]: `hits` are memo hits,
-/// `misses` and entries are stage evaluations.
-pub(crate) fn memo_stats(hits: u64, evals: u64) -> CacheStats {
-    CacheStats {
-        hits,
-        misses: evals,
-        shard_sizes: vec![evals as usize],
-        ..CacheStats::default()
     }
 }
 

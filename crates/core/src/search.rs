@@ -39,7 +39,7 @@
 //! contract for every bundled model against a test-support reference.
 
 use crate::blocks::Block;
-use crate::dp::{form_stage_dp, memo_stats, DpArena, DpParams, DpSolution};
+use crate::dp::{form_stage_dp, DpArena, DpParams, DpSolution};
 use crate::par;
 use crate::placement::SlotTable;
 use crate::stagecache::{prefetch_ranges, RangeTable};
@@ -149,61 +149,22 @@ impl ArenaPool {
             .iter()
             .map(DpArena::stats)
             .fold((0, 0), |(h, e), s| (h + s.hits, e + s.misses));
-        memo_stats(hits, evals)
+        CacheStats::new(hits, evals, evals as usize)
     }
 }
 
-/// Single-call-site tally feeding both the per-run [`SearchStats`] (exact
-/// for this invocation, even with concurrent searches in one process) and
-/// the process-global metrics registry (cumulative, feeds
-/// `--planner-stats` and the metrics export).
-struct SearchTally {
-    stats: SearchStats,
-    candidates: rannc_obs::metrics::Counter,
-    feasible: rannc_obs::metrics::Counter,
-    pruned: rannc_obs::metrics::Counter,
-    node_tiers: rannc_obs::metrics::Counter,
-}
-
-impl SearchTally {
-    fn new(threads: usize) -> Self {
-        rannc_obs::metrics::gauge("planner.search.threads").set(threads as f64);
-        SearchTally {
-            stats: SearchStats {
-                threads,
-                ..SearchStats::default()
-            },
-            candidates: rannc_obs::metrics::counter("planner.search.candidates"),
-            feasible: rannc_obs::metrics::counter("planner.search.feasible"),
-            pruned: rannc_obs::metrics::counter("planner.search.pruned"),
-            node_tiers: rannc_obs::metrics::counter("planner.search.node_tiers"),
-        }
-    }
-
-    fn tier(&mut self) {
-        self.stats.node_tiers += 1;
-        self.node_tiers.inc();
-    }
-
-    fn candidates(&mut self, n: usize) {
-        self.stats.candidates += n;
-        self.candidates.add(n as u64);
-    }
-
-    fn feasible(&mut self, n: usize) {
-        self.stats.feasible += n;
-        self.feasible.add(n as u64);
-    }
-
-    fn pruned(&mut self, n: usize) {
-        self.stats.pruned += n;
-        self.pruned.add(n as u64);
-    }
-
-    fn finish(mut self, arenas: &ArenaPool) -> SearchStats {
-        self.stats.stage_cache = arenas.stats();
-        crate::publish_cache_metrics("planner.stage_cache", &self.stats.stage_cache);
-        self.stats
+impl SearchStats {
+    /// Publish a finished search into the metrics registry, once: the
+    /// `planner.search.*` counters accumulate across searches, the
+    /// thread count and the stage-cost memo are last-run gauges.
+    fn publish(&self) {
+        use rannc_obs::metrics::{counter, gauge};
+        counter("planner.search.candidates").add(self.candidates as u64);
+        counter("planner.search.feasible").add(self.feasible as u64);
+        counter("planner.search.pruned").add(self.pruned as u64);
+        counter("planner.search.node_tiers").add(self.node_tiers as u64);
+        gauge("planner.search.threads").set(self.threads as f64);
+        crate::publish_cache_metrics("planner.stage_cache", &self.stage_cache);
     }
 }
 
@@ -238,7 +199,10 @@ pub fn form_stage_with(
         opts.threads
     };
     let ranges = RangeTable::new();
-    let mut tally = SearchTally::new(threads);
+    let mut stats = SearchStats {
+        threads,
+        ..SearchStats::default()
+    };
 
     // Flight-recorder hook (see `rannc_obs::recorder`): one recording
     // per search. While recording, *runtime* pruning is turned off — the
@@ -310,10 +274,15 @@ pub fn form_stage_with(
         rannc_cost::sync_pipeline_iteration(p.stages, p.microbatches, v_lb) * guard
     };
     let arenas = ArenaPool::new();
+    let finish = |mut stats: SearchStats| {
+        stats.stage_cache = arenas.stats();
+        stats.publish();
+        stats
+    };
 
     let mut n = 1usize;
     while n <= n_nodes {
-        tally.tier();
+        stats.node_tiers += 1;
         let d = d_node * n;
         let r = (n_nodes / n).max(1);
         rannc_obs::recorder::tier(n, d, r);
@@ -348,7 +317,7 @@ pub fn form_stage_with(
                 mb *= 2;
             }
         }
-        tally.candidates(grid.len());
+        stats.candidates += grid.len();
         // one placement table per tier: it depends only on (D, R)
         let slots = if hetero {
             Some(SlotTable::build(
@@ -447,7 +416,7 @@ pub fn form_stage_with(
                 solutions[i] = sol;
             }
         }
-        tally.pruned(pruned_now.swap(0, Ordering::Relaxed));
+        stats.pruned += pruned_now.swap(0, Ordering::Relaxed);
         // Canonical per-candidate record: a sequential re-scan in grid
         // order replays what the dominance bound would have pruned in
         // the historical one-thread sweep, so the artifact's pruning
@@ -493,7 +462,7 @@ pub fn form_stage_with(
             }
         }
         let candidates: Vec<DpSolution> = solutions.into_iter().flatten().collect();
-        tally.feasible(candidates.len());
+        stats.feasible += candidates.len();
         if !candidates.is_empty() {
             // Deterministic tie-break: min_by keeps the *first* minimum in
             // grid order, so the parallel sweep picks the exact candidate
@@ -501,11 +470,11 @@ pub fn form_stage_with(
             let best = candidates.into_iter().min_by(|a, b| {
                 score_solution(a, cluster, cost).total_cmp(&score_solution(b, cluster, cost))
             });
-            return (best, tally.finish(&arenas));
+            return (best, finish(stats));
         }
         n *= 2;
     }
-    (None, tally.finish(&arenas))
+    (None, finish(stats))
 }
 
 #[cfg(test)]

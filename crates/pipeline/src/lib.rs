@@ -30,8 +30,7 @@ pub use churn::{
 };
 pub use spec::{PipelineSpec, SimResult, SpecError, StageSpec};
 pub use sync::{
-    comm_program, deep_verify_plan, schedule_model, simulate_sync, sync_work_orders, SyncSchedule,
-    TimelineEvent, WorkKind,
+    comm_program, deep_verify_plan, schedule_model, simulate_sync, SyncSchedule, TimelineEvent,
 };
 pub use trace::{publish_sim_metrics, record_timeline};
 

@@ -20,7 +20,7 @@ use crate::PlanSpecError;
 use rannc_core::PartitionPlan;
 use rannc_graph::TaskGraph;
 use rannc_hw::{ClusterSpec, Precision};
-use rannc_verify::{CertifiedStage, CommProgram, Report};
+use rannc_verify::{CertifiedStage, CommProgram, PhaseKind, Report, ScheduleModel};
 use serde::{Deserialize, Serialize};
 
 /// Per-stage work ordering of the synchronous schedule.
@@ -32,22 +32,13 @@ pub enum SyncSchedule {
     OneFOneB,
 }
 
-/// What a timeline event did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkKind {
-    /// Forward pass of one micro-batch.
-    Forward,
-    /// Backward pass of one micro-batch.
-    Backward,
-}
-
 /// One executed work item (for tests and visualization).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct TimelineEvent {
     /// Stage index.
     pub stage: usize,
     /// Forward or backward.
-    pub kind: WorkKind,
+    pub kind: PhaseKind,
     /// Micro-batch index.
     pub micro: usize,
     /// Start time, seconds.
@@ -65,91 +56,14 @@ pub struct SyncSimOutput {
     pub timeline: Option<Vec<TimelineEvent>>,
 }
 
-/// Build the per-stage work order.
-fn work_order(
-    schedule: SyncSchedule,
-    stage: usize,
-    stages: usize,
-    mb: usize,
-) -> Vec<(WorkKind, usize)> {
-    let mut seq = Vec::with_capacity(2 * mb);
+/// The per-stage issue orders of `schedule`, built by `rannc-verify`'s
+/// canonical constructors. [`simulate_sync`] executes exactly these
+/// orders, and `rannc_verify::verify_schedule` proves them deadlock-free
+/// without running the simulator.
+pub fn schedule_model(schedule: SyncSchedule, stages: usize, mb: usize) -> ScheduleModel {
     match schedule {
-        SyncSchedule::FillDrain => {
-            for m in 0..mb {
-                seq.push((WorkKind::Forward, m));
-            }
-            // backward in reverse arrival order
-            for m in (0..mb).rev() {
-                seq.push((WorkKind::Backward, m));
-            }
-        }
-        SyncSchedule::OneFOneB => {
-            let warmup = (stages - 1 - stage).min(mb);
-            let mut next_f = 0usize;
-            let mut next_b = 0usize;
-            for _ in 0..warmup {
-                seq.push((WorkKind::Forward, next_f));
-                next_f += 1;
-            }
-            while next_b < mb {
-                if next_f < mb {
-                    seq.push((WorkKind::Forward, next_f));
-                    next_f += 1;
-                }
-                seq.push((WorkKind::Backward, next_b));
-                next_b += 1;
-            }
-        }
-    }
-    seq
-}
-
-/// Per-stage issue orders for `schedule`, exactly as [`simulate_sync`]
-/// executes them. Also the bridge to static verification: feed the
-/// result to [`schedule_model`] and `rannc-verify` proves the schedule
-/// deadlock-free without running the simulator.
-pub fn sync_work_orders(
-    schedule: SyncSchedule,
-    stages: usize,
-    mb: usize,
-) -> Vec<Vec<(WorkKind, usize)>> {
-    (0..stages)
-        .map(|s| {
-            let mut seq = work_order(schedule, s, stages, mb);
-            if schedule == SyncSchedule::OneFOneB {
-                seq.dedup();
-            }
-            seq
-        })
-        .collect()
-}
-
-/// Flatten a synchronous schedule into the op model that
-/// `rannc_verify::verify_schedule` analyses.
-pub fn schedule_model(
-    schedule: SyncSchedule,
-    stages: usize,
-    mb: usize,
-) -> rannc_verify::ScheduleModel {
-    use rannc_verify::PhaseKind;
-    rannc_verify::ScheduleModel {
-        stages,
-        microbatches: mb,
-        orders: sync_work_orders(schedule, stages, mb)
-            .into_iter()
-            .map(|order| {
-                order
-                    .into_iter()
-                    .map(|(kind, m)| {
-                        let phase = match kind {
-                            WorkKind::Forward => PhaseKind::Forward,
-                            WorkKind::Backward => PhaseKind::Backward,
-                        };
-                        (phase, m)
-                    })
-                    .collect()
-            })
-            .collect(),
+        SyncSchedule::FillDrain => ScheduleModel::fill_drain(stages, mb),
+        SyncSchedule::OneFOneB => ScheduleModel::one_f_one_b(stages, mb),
     }
 }
 
@@ -221,7 +135,7 @@ pub fn simulate_sync(
     let s_count = spec.stages.len();
     let mb = spec.microbatches;
 
-    let seqs = sync_work_orders(schedule, s_count, mb);
+    let seqs = schedule_model(schedule, s_count, mb).orders;
 
     let mut ptr = vec![0usize; s_count];
     let mut stage_free = vec![0.0f64; s_count];
@@ -237,14 +151,14 @@ pub fn simulate_sync(
                 let (kind, m) = seqs[s][ptr[s]];
                 // dependency ready time
                 let ready = match kind {
-                    WorkKind::Forward => {
+                    PhaseKind::Forward => {
                         if s == 0 {
                             Some(0.0)
                         } else {
                             fwd_end[s - 1][m].map(|t| t + spec.comm_time(s - 1))
                         }
                     }
-                    WorkKind::Backward => {
+                    PhaseKind::Backward => {
                         if s == s_count - 1 {
                             fwd_end[s][m]
                         } else {
@@ -258,14 +172,14 @@ pub fn simulate_sync(
                 };
                 let Some(ready) = ready else { break };
                 let dur = match kind {
-                    WorkKind::Forward => spec.stages[s].fwd_time,
-                    WorkKind::Backward => spec.stages[s].bwd_time,
+                    PhaseKind::Forward => spec.stages[s].fwd_time,
+                    PhaseKind::Backward => spec.stages[s].bwd_time,
                 };
                 let start = stage_free[s].max(ready);
                 let end = start + dur;
                 match kind {
-                    WorkKind::Forward => fwd_end[s][m] = Some(end),
-                    WorkKind::Backward => bwd_end[s][m] = Some(end),
+                    PhaseKind::Forward => fwd_end[s][m] = Some(end),
+                    PhaseKind::Backward => bwd_end[s][m] = Some(end),
                 }
                 stage_free[s] = end;
                 busy[s] += dur;
@@ -417,11 +331,11 @@ mod tests {
             for st in 0..2 {
                 let f0 = tl
                     .iter()
-                    .find(|e| e.stage == st && e.micro == m && e.kind == WorkKind::Forward)
+                    .find(|e| e.stage == st && e.micro == m && e.kind == PhaseKind::Forward)
                     .unwrap();
                 let f1 = tl
                     .iter()
-                    .find(|e| e.stage == st + 1 && e.micro == m && e.kind == WorkKind::Forward)
+                    .find(|e| e.stage == st + 1 && e.micro == m && e.kind == PhaseKind::Forward)
                     .unwrap();
                 assert!(f1.start >= f0.end - 1e-12);
             }
@@ -431,11 +345,11 @@ mod tests {
             for st in 0..2 {
                 let b0 = tl
                     .iter()
-                    .find(|e| e.stage == st && e.micro == m && e.kind == WorkKind::Backward)
+                    .find(|e| e.stage == st && e.micro == m && e.kind == PhaseKind::Backward)
                     .unwrap();
                 let b1 = tl
                     .iter()
-                    .find(|e| e.stage == st + 1 && e.micro == m && e.kind == WorkKind::Backward)
+                    .find(|e| e.stage == st + 1 && e.micro == m && e.kind == PhaseKind::Backward)
                     .unwrap();
                 assert!(b0.start >= b1.end - 1e-12);
             }
@@ -456,21 +370,6 @@ mod tests {
                     report.render()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn schedule_model_matches_the_verify_constructors() {
-        // `rannc-verify` re-derives canonical schedules so the planner
-        // can certify plans without depending on this crate; pin the
-        // two constructions together op for op
-        for (stages, mb) in [(1, 1), (2, 2), (3, 5), (4, 8), (6, 6), (1, 4)] {
-            let fd = schedule_model(SyncSchedule::FillDrain, stages, mb);
-            let pinned = rannc_verify::ScheduleModel::fill_drain(stages, mb);
-            assert_eq!(fd.orders, pinned.orders, "fill_drain {stages}x{mb}");
-            let ob = schedule_model(SyncSchedule::OneFOneB, stages, mb);
-            let pinned = rannc_verify::ScheduleModel::one_f_one_b(stages, mb);
-            assert_eq!(ob.orders, pinned.orders, "one_f_one_b {stages}x{mb}");
         }
     }
 

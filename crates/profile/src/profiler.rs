@@ -7,7 +7,7 @@ use rannc_hw::{DeviceSpec, LinkSpec, Precision};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 /// Number of independently locked cache shards. A key's shard is chosen
 /// by its fingerprint hash, so concurrent `profile_set` callers touching
@@ -228,40 +228,32 @@ impl<V: Copy + Default> FlatMemo<V> {
     }
 }
 
-/// Counters of a sharded memo cache, for `--planner-stats` and the
-/// metrics registry. `contention` counts lock acquisitions that found the shard busy
-/// (a `try_lock` failure before the blocking lock) — the observable the
-/// sharding exists to minimize.
-///
-/// The profiler memoises in two layers (see [`Profiler::profile_set`]):
-/// `stats_*` counts lookups of batch-independent set statistics, `time_*`
-/// lookups of per-`(set, batch)` raw times. `hits`/`misses` are the
-/// layer totals; single-layer memos (the DP arenas' stage-cost memo)
-/// leave the layered fields zero.
+/// Counters of a memo cache, for `--planner-stats`, `explain` and the
+/// metrics registry: lookups answered from the cache, lookups that had
+/// to compute, and the entries the cache holds.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that had to compute (and then insert).
     pub misses: u64,
-    /// Shard-lock acquisitions that initially found the lock held.
-    pub contention: u64,
-    /// Entry count per shard, in shard order.
-    pub shard_sizes: Vec<usize>,
-    /// Hits on the batch-independent set-statistics layer.
-    pub stats_hits: u64,
-    /// Misses on the batch-independent set-statistics layer.
-    pub stats_misses: u64,
-    /// Hits on the per-`(set, batch)` raw-time layer.
-    pub time_hits: u64,
-    /// Misses on the per-`(set, batch)` raw-time layer.
-    pub time_misses: u64,
+    entries: usize,
 }
 
 impl CacheStats {
-    /// Total memoised entries across all shards.
+    /// Counters of a cache that answered `hits` lookups, computed
+    /// `misses` and holds `entries` values.
+    pub fn new(hits: u64, misses: u64, entries: usize) -> Self {
+        CacheStats {
+            hits,
+            misses,
+            entries,
+        }
+    }
+
+    /// Memoised entries held by the cache.
     pub fn entries(&self) -> usize {
-        self.shard_sizes.iter().sum()
+        self.entries
     }
 
     /// Fraction of lookups served from the cache (0 when none happened).
@@ -299,11 +291,8 @@ pub struct Profiler<'g> {
     param_vals: Vec<u32>,
     set_stats: Vec<Mutex<FlatMemo<SetStats>>>,
     time_profiles: Vec<Mutex<FlatMemo<TimeProfile>>>,
-    stats_hits: AtomicU64,
-    stats_misses: AtomicU64,
-    time_hits: AtomicU64,
-    time_misses: AtomicU64,
-    contention: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl<'g> Profiler<'g> {
@@ -358,27 +347,8 @@ impl<'g> Profiler<'g> {
             time_profiles: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(FlatMemo::new()))
                 .collect(),
-            stats_hits: AtomicU64::new(0),
-            stats_misses: AtomicU64::new(0),
-            time_hits: AtomicU64::new(0),
-            time_misses: AtomicU64::new(0),
-            contention: AtomicU64::new(0),
-        }
-    }
-
-    /// Lock a memo shard, counting initial `try_lock` failures.
-    fn lock_memo<'a, V: Copy + Default>(
-        &self,
-        shards: &'a [Mutex<FlatMemo<V>>],
-        shard: usize,
-    ) -> MutexGuard<'a, FlatMemo<V>> {
-        match shards[shard].try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contention.fetch_add(1, Ordering::Relaxed);
-                shards[shard].lock().unwrap()
-            }
-            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -404,20 +374,6 @@ impl<'g> Profiler<'g> {
         &self.opts
     }
 
-    /// Number of memoised entries across both layers (for diagnostics
-    /// and benches).
-    pub fn cache_len(&self) -> usize {
-        self.set_stats
-            .iter()
-            .map(|s| s.lock().unwrap().len)
-            .sum::<usize>()
-            + self
-                .time_profiles
-                .iter()
-                .map(|s| s.lock().unwrap().len)
-                .sum::<usize>()
-    }
-
     /// Pre-size the memo tables for a sweep expected to profile about
     /// `expected_sets` distinct task sets. Called by the planner with the
     /// block-count-derived range count so miss-path inserts never rehash
@@ -433,29 +389,20 @@ impl<'g> Profiler<'g> {
         }
     }
 
-    /// Snapshot of cache behaviour since construction: hits, misses,
-    /// shard-lock contention, and per-shard entry counts, with the
-    /// per-layer breakdown of the two-level memo.
+    /// Snapshot of cache behaviour since construction: hits and misses
+    /// summed over both memo layers, and the entries both layers hold.
     pub fn cache_stats(&self) -> CacheStats {
-        let stats_hits = self.stats_hits.load(Ordering::Relaxed);
-        let stats_misses = self.stats_misses.load(Ordering::Relaxed);
-        let time_hits = self.time_hits.load(Ordering::Relaxed);
-        let time_misses = self.time_misses.load(Ordering::Relaxed);
-        CacheStats {
-            hits: stats_hits + time_hits,
-            misses: stats_misses + time_misses,
-            contention: self.contention.load(Ordering::Relaxed),
-            shard_sizes: self
-                .set_stats
+        fn held<V: Copy + Default>(shards: &[Mutex<FlatMemo<V>>]) -> usize {
+            shards
                 .iter()
-                .zip(&self.time_profiles)
-                .map(|(a, b)| a.lock().unwrap().len + b.lock().unwrap().len)
-                .collect(),
-            stats_hits,
-            stats_misses,
-            time_hits,
-            time_misses,
+                .map(|s| s.lock().expect("a profiling worker panicked").len)
+                .sum()
         }
+        CacheStats::new(
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+            held(&self.set_stats) + held(&self.time_profiles),
+        )
     }
 
     /// Forward time of one task at a given micro-batch size.
@@ -633,11 +580,12 @@ impl<'g> Profiler<'g> {
         let fp = fingerprint(set);
 
         // layer 1: batch-independent set statistics
-        let stats = self.set_stats_cached(fp, set);
+        let stats = self.memo(&self.set_stats, fp, 0, || self.compute_set_stats(set));
 
         // layer 2: raw per-(set, batch) time sums
-        let time =
-            self.time_profile_cached(fp, batch as u32, || self.compute_time_profile(set, batch));
+        let time = self.memo(&self.time_profiles, fp, batch as u32, || {
+            self.compute_time_profile(set, batch)
+        });
 
         // assembly: identical float-op order to the historical fused path
         // per-execution host overhead (sync, input staging)
@@ -670,50 +618,33 @@ impl<'g> Profiler<'g> {
         }
     }
 
-    /// Layer-1 memo lookup: batch-independent set statistics.
-    fn set_stats_cached(&self, fp: u128, set: &TaskSet) -> SetStats {
-        let stats_shard = Self::shard_of(fp, 0);
-        // bind the lookup before matching: a guard held through the match
-        // arms would self-deadlock on the re-lock in the miss arm
-        let stats_lookup = self.lock_memo(&self.set_stats, stats_shard).get(fp, 0);
-        match stats_lookup {
-            Some(hit) => {
-                self.stats_hits.fetch_add(1, Ordering::Relaxed);
-                hit
-            }
-            None => {
-                self.stats_misses.fetch_add(1, Ordering::Relaxed);
-                let computed = self.compute_set_stats(set);
-                self.lock_memo(&self.set_stats, stats_shard)
-                    .insert(fp, 0, computed);
-                computed
-            }
-        }
-    }
-
-    /// Layer-2 memo lookup: raw time sums under the given aux word, with
-    /// `compute` as the miss path.
-    fn time_profile_cached(
+    /// Get-or-insert on one memo layer, with `compute` as the miss path.
+    ///
+    /// Claim-once: the shard lock is held across lookup, miss computation
+    /// and insert, so each key is computed exactly once however many
+    /// sweep workers miss it together, and `misses` equals the entries
+    /// inserted. Holding the lock through `compute` cannot deadlock
+    /// because miss computations take no memo lock, and `profile_set`
+    /// takes the stats shard and the time shard one after the other,
+    /// never nested.
+    fn memo<V: Copy + Default>(
         &self,
+        shards: &[Mutex<FlatMemo<V>>],
         fp: u128,
         aux: u32,
-        compute: impl FnOnce() -> TimeProfile,
-    ) -> TimeProfile {
-        let time_shard = Self::shard_of(fp, aux);
-        let time_lookup = self.lock_memo(&self.time_profiles, time_shard).get(fp, aux);
-        match time_lookup {
-            Some(hit) => {
-                self.time_hits.fetch_add(1, Ordering::Relaxed);
-                hit
-            }
-            None => {
-                self.time_misses.fetch_add(1, Ordering::Relaxed);
-                let computed = compute();
-                self.lock_memo(&self.time_profiles, time_shard)
-                    .insert(fp, aux, computed);
-                computed
-            }
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        let mut memo = shards[Self::shard_of(fp, aux)]
+            .lock()
+            .expect("a profiling worker panicked holding a memo shard");
+        if let Some(hit) = memo.get(fp, aux) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return hit;
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let computed = compute();
+        memo.insert(fp, aux, computed);
+        computed
     }
 
     /// [`Profiler::profile_set`] with the stage's splittable compute
@@ -744,12 +675,13 @@ impl<'g> Profiler<'g> {
         debug_assert!(tp < 1024, "tensor-parallel degree {tp} out of range");
         debug_assert!(batch < 1 << 21, "micro-batch {batch} out of range");
         let fp = fingerprint(set);
-        let stats = self.set_stats_cached(fp, set);
+        let stats = self.memo(&self.set_stats, fp, 0, || self.compute_set_stats(set));
         // TP entries live in a disjoint aux keyspace (top bit set) so they
         // can never collide with the plain per-batch entries.
         let aux = 0x8000_0000u32 | ((batch as u32) << 10) | tp as u32;
-        let time =
-            self.time_profile_cached(fp, aux, || self.compute_time_profile_tp(set, batch, tp));
+        let time = self.memo(&self.time_profiles, fp, aux, || {
+            self.compute_time_profile_tp(set, batch, tp)
+        });
 
         let fwd = time.fwd_raw + self.opts.invocation_overhead;
         let mut bwd = time.bwd_raw + self.opts.invocation_overhead;
@@ -784,7 +716,7 @@ impl<'g> Profiler<'g> {
     /// activation precision. Zero for stages with no splittable ops.
     pub fn tp_allreduce_bytes(&self, set: &TaskSet, batch: usize) -> usize {
         let fp = fingerprint(set);
-        let stats = self.set_stats_cached(fp, set);
+        let stats = self.memo(&self.set_stats, fp, 0, || self.compute_set_stats(set));
         (stats.split_out_bytes as f64
             * batch as f64
             * self.opts.precision.activation_bytes() as f64
@@ -941,9 +873,9 @@ mod tests {
         let s = whole_set(&g);
         let r1 = p.profile_set(&s, 4, 2, true);
         // one stats entry + one time entry
-        assert_eq!(p.cache_len(), 2);
+        assert_eq!(p.cache_stats().entries(), 2);
         let r2 = p.profile_set(&s, 4, 2, true);
-        assert_eq!(p.cache_len(), 2);
+        assert_eq!(p.cache_stats().entries(), 2);
         assert_eq!(r1, r2);
     }
 
@@ -959,15 +891,10 @@ mod tests {
         // batch changed: stats layer hits, time layer misses
         let _ = p.profile_set(&s, 8, 2, true);
         let stats = p.cache_stats();
-        assert_eq!(stats.stats_hits, 2);
-        assert_eq!(stats.stats_misses, 1);
-        assert_eq!(stats.time_hits, 1);
-        assert_eq!(stats.time_misses, 2);
         assert_eq!(stats.hits, 3);
         assert_eq!(stats.misses, 3);
         // one stats entry + two time entries
         assert_eq!(stats.entries(), 3);
-        assert_eq!(stats.shard_sizes.len(), CACHE_SHARDS);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
@@ -1033,6 +960,9 @@ mod tests {
                 });
             }
         });
+        // claim-once memo: racing misses on one key compute it once
+        let stats = shared.cache_stats();
+        assert_eq!(stats.misses as usize, stats.entries());
         for s in &sets {
             let a = shared.profile_set(s, 4, 2, true);
             let b = fresh.profile_set(s, 4, 2, true);

@@ -22,9 +22,9 @@ pub enum PhaseKind {
 
 /// A pipeline schedule flattened to per-stage execution orders.
 ///
-/// `orders[s]` lists the ops stage `s` runs, in issue order. Built from a
-/// `rannc-pipeline` schedule via `sync_work_orders` (see that crate), or
-/// by hand in tests.
+/// `orders[s]` lists the ops stage `s` runs, in issue order. Built by
+/// [`ScheduleModel::fill_drain`] or [`ScheduleModel::one_f_one_b`] (the
+/// orders `rannc-pipeline`'s simulator executes), or by hand in tests.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScheduleModel {
     /// Pipeline depth.
@@ -37,9 +37,7 @@ pub struct ScheduleModel {
 
 impl ScheduleModel {
     /// Canonical GPipe fill–drain order: all forwards in arrival order,
-    /// then all backwards in reverse. Mirrors
-    /// `rannc_pipeline::sync_work_orders(SyncSchedule::FillDrain, ..)`
-    /// op for op (a `rannc-pipeline` test pins the two together).
+    /// then all backwards in reverse.
     pub fn fill_drain(stages: usize, microbatches: usize) -> ScheduleModel {
         let orders = (0..stages)
             .map(|_| {
@@ -57,8 +55,7 @@ impl ScheduleModel {
     }
 
     /// Canonical 1F1B order: `stages − 1 − s` warmup forwards, then
-    /// alternate. Mirrors
-    /// `rannc_pipeline::sync_work_orders(SyncSchedule::OneFOneB, ..)`.
+    /// alternate.
     pub fn one_f_one_b(stages: usize, microbatches: usize) -> ScheduleModel {
         let orders = (0..stages)
             .map(|s| {

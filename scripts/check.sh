@@ -39,7 +39,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one DP, one search, one campaign engine, no cost-model wrapper, one planner benchmark)"
+echo "==> one-path gate (one DP, one search, one campaign engine, no cost-model wrapper, one planner benchmark, one counter source, one issue order)"
 # rannc-core exports one DP entry point (form_stage_dp) and one search
 # entry point (form_stage_with); the slow references live in test
 # support (crates/core/tests/support/reference.rs), the analytical
@@ -49,6 +49,17 @@ if grep -rnE --include='*.rs' \
     "form_stage_dp_[a-z]|form_stage_seq|shared_cache|AnalyticalCost|simulate_faulted|FaultSimConfig|FaultSimReport|RecoveryPolicy" \
     crates/*/src; then
     echo "FAILED: duplicate DP/search/campaign entry point or cost-model wrapper in crates/*/src"
+    exit 1
+fi
+# planner counters have one source, the per-run SearchStats/CacheStats
+# (published to the metrics registry once, never read back from it), the
+# profiler memo claims each key under one shard lock, and pipeline issue
+# orders are built by rannc-verify's ScheduleModel alone (the bracket
+# expressions keep this line from matching itself)
+if grep -rnE --include='*.rs' \
+    "render[_]registry|cache_nums_from[_]registry|lock[_]memo|shard[_]sizes|max[_]shard|Search[T]ally|sync_work[_]orders|Work[K]ind" \
+    crates/*/src; then
+    echo "FAILED: a second planner-counter source or a second pipeline issue order in crates/*/src"
     exit 1
 fi
 # planner wall time is measured by perfbench/ alone; the retired second

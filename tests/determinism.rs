@@ -246,24 +246,68 @@ fn quick_bert_with_tp_is_thread_deterministic() {
     );
 }
 
+/// The quick grid: mlp-12l and bert-4l h256, planned at 16 devices.
+fn quick_grid() -> Vec<TaskGraph> {
+    vec![
+        mlp_graph(&MlpConfig::deep(128, 128, 12, 10)),
+        bert_graph(&BertConfig::enlarged(256, 4)),
+    ]
+}
+
+/// The profiler memo is claim-once: a key missed by several sweep
+/// workers at once is computed by one of them, so every miss inserts
+/// exactly one entry at any thread count. Which keys a search asks for
+/// is schedule-dependent on a uniform fleet (the racy dominance-pruning
+/// incumbent decides which DPs run), so the entry counts are compared
+/// across thread counts on a fleet with one slowed device, where the
+/// search runs every DP and asks for the same keys at 1, 2 and 4 threads.
+#[test]
+fn profiler_memo_is_claim_once_at_every_thread_count() {
+    let uniform = ClusterSpec::v100_cluster(2);
+    // a heterogeneous fleet turns the dominance pruning off
+    let mixed = ClusterSpec::v100_cluster(2).with_degraded_device(uniform.rank(3), 0.5);
+    for g in quick_grid() {
+        let (_, blocks) = prep(&g, &uniform);
+        for (cluster, fleet, unpruned) in [(&uniform, "uniform", false), (&mixed, "mixed", true)] {
+            let entries = [1, 2, 4].map(|threads| {
+                let fresh = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+                let opts = SearchOptions { threads, tp_max: 1 };
+                let (sol, _) = form_stage_with(&g, &fresh, &blocks, cluster, 64, &opts);
+                assert!(sol.is_some(), "{} ({fleet}): expected feasible", g.name);
+                let stats = fresh.cache_stats();
+                assert_eq!(
+                    stats.misses as usize,
+                    stats.entries(),
+                    "{} ({fleet}) at {threads} thread(s): a key was computed twice",
+                    g.name
+                );
+                stats.entries()
+            });
+            if unpruned {
+                assert_eq!(
+                    entries, [entries[0]; 3],
+                    "{}: entries at 1/2/4 threads",
+                    g.name
+                );
+            }
+        }
+    }
+}
+
 /// The profiler's two-layer memo (batch-independent set stats plus
 /// per-batch timings) makes checkpoint and in-flight variants of a stage
-/// hit: a search on a fresh cost model over the quick grid (mlp-12l and
-/// bert-4l h256 at 16 devices) answers at least 60% of its profiler
-/// lookups from the memo. One worker keeps the count exact: two workers
-/// racing on one key both record a miss.
+/// hit: a search on a fresh cost model over the quick grid answers at
+/// least 60% of its profiler lookups from the memo, at four workers as
+/// at one, since the claim-once memo counts one miss per key.
 #[test]
 fn fresh_search_hits_the_profiler_memo() {
     const HIT_RATE_FLOOR: f64 = 0.6;
     let cluster = ClusterSpec::v100_cluster(2);
-    for g in [
-        mlp_graph(&MlpConfig::deep(128, 128, 12, 10)),
-        bert_graph(&BertConfig::enlarged(256, 4)),
-    ] {
+    for g in quick_grid() {
         let (_, blocks) = prep(&g, &cluster);
         let fresh = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
         let opts = SearchOptions {
-            threads: 1,
+            threads: 4,
             tp_max: 1,
         };
         let (sol, _) = form_stage_with(&g, &fresh, &blocks, &cluster, 64, &opts);
